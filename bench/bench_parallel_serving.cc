@@ -2,11 +2,14 @@
 //
 // Sweeps threads x n x s over the three 1-d RangeSampler implementations,
 // comparing the sequential QueryBatch path (num_threads = 0) against the
-// deterministic parallel mode at 1, 2, 4 and 8 threads with a persistent
-// ThreadPool (the recommended serving setup: pool construction is paid
-// once, not per batch). The parallel mode re-keys every query onto its own
-// RNG substream, so its output is bit-identical for every thread count;
-// the sweep measures the pure scheduling + sharding cost/benefit.
+// deterministic parallel mode at 1, 2, 4 and 8 threads with persistent
+// ThreadPools (the recommended serving setup: pool construction is paid
+// once, not per batch). Each pool lives for the whole sweep and is first
+// driven for ~2 s, because freshly spawned workers can take seconds to be
+// spread over the cores (EXPERIMENTS.md E20) — longer than a config runs.
+// The parallel mode re-keys every query onto its own RNG substream, so its
+// output is bit-identical for every thread count; the sweep measures the
+// pure scheduling + sharding cost/benefit.
 //
 // threads = 1 isolates the overhead of the substream mode itself
 // (ForkStream per query, two-pass split/draw) with no parallelism; the
@@ -80,6 +83,11 @@ int main() {
   std::printf("%-22s %9s %6s %5s %8s %11s %7s %7s\n", "sampler", "n", "batch",
               "s", "threads", "sps", "x seq", "x t1");
 
+  std::vector<std::unique_ptr<iqs::ThreadPool>> pools;
+  for (const size_t threads : kThreadCounts) {
+    pools.push_back(std::make_unique<iqs::ThreadPool>(threads));
+  }
+
   std::vector<Row> rows;
   for (const size_t n : {size_t{1} << 16, size_t{1} << 20}) {
     iqs::Rng data_rng(1);
@@ -92,6 +100,29 @@ int main() {
         std::make_unique<iqs::ChunkedRangeSampler>(keys, weights);
     const iqs::RangeSampler* samplers[3] = {bst.get(), aug.get(),
                                             chunked.get()};
+
+    {
+      // Drive every pool before measuring (see the header comment).
+      iqs::Rng query_rng(2);
+      std::vector<iqs::BatchQuery> warm_queries;
+      for (size_t i = 0; i < kBatch; ++i) {
+        const auto [lo, hi] =
+            iqs::IntervalWithSelectivity(keys, n / 8, &query_rng);
+        warm_queries.push_back({lo, hi, 64});
+      }
+      iqs::ScratchArena arena;
+      iqs::BatchResult result;
+      for (const auto& pool : pools) {
+        iqs::BatchOptions opts;
+        opts.num_threads = pool->num_threads();
+        opts.pool = pool.get();
+        iqs::Rng rng(4);
+        const Clock::time_point start = Clock::now();
+        while (SecondsSince(start) < 2.0) {
+          chunked->QueryBatch(warm_queries, &rng, &arena, opts, &result);
+        }
+      }
+    }
 
     for (const iqs::RangeSampler* sampler : samplers) {
       for (const size_t s : {size_t{64}, size_t{256}}) {
@@ -125,11 +156,11 @@ int main() {
                     "-", "-");
 
         double t1_bps = 0.0;
-        for (const size_t threads : kThreadCounts) {
-          iqs::ThreadPool pool(threads);
+        for (const auto& pool : pools) {
+          const size_t threads = pool->num_threads();
           iqs::BatchOptions opts;
           opts.num_threads = threads;
-          opts.pool = &pool;
+          opts.pool = pool.get();
           iqs::Rng par_rng(3);
           const double par_bps = Measure([&] {
             sampler->QueryBatch(queries, &par_rng, &arena, opts, &result);

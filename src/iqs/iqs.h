@@ -27,6 +27,7 @@
 #include "iqs/alias/fenwick_sampler.h"
 #include "iqs/alias/quantized_alias.h"
 #include "iqs/cover/complement_sampler.h"
+#include "iqs/cover/cover_enumeration.h"
 #include "iqs/cover/cover_executor.h"
 #include "iqs/cover/cover_plan.h"
 #include "iqs/cover/coverage_engine.h"

@@ -17,7 +17,7 @@ namespace iqs::join {
 
 void ActiveSetSampler::QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
                                       std::vector<size_t>* out) const {
-  IQS_DCHECK(a <= b && b < size());
+  IQS_DCHECK(a <= b && b < fenwick_->size());
   const uint64_t below = fenwick_->PrefixCount(a);
   const uint64_t count = fenwick_->PrefixCount(b + 1) - below;
   IQS_DCHECK(count > 0);  // cover groups carry weight = live active count

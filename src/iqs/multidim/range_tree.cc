@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
+#include "iqs/cover/cover_enumeration.h"
 #include "iqs/cover/cover_executor.h"
 #include "iqs/sampling/multinomial.h"
 #include "iqs/util/check.h"
@@ -121,12 +123,17 @@ void RangeTree2DSampler::CollectPieces(const Rect& q, size_t a, size_t b,
     uint32_t ya;
     uint32_t yb;  // half-open
   };
-  std::vector<Frame> stack = {
-      {0, static_cast<uint32_t>(first - root_node.y_sorted_ys.begin()),
-       static_cast<uint32_t>(last - root_node.y_sorted_ys.begin())}};
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
+  // Depth-first with both children pushed per level holds at most
+  // depth + 1 frames, and a balanced tree over < 2^32 points is at most
+  // 33 levels deep — a fixed stack, so the descent never allocates.
+  constexpr size_t kMaxFrames = 64;
+  Frame stack[kMaxFrames];
+  size_t top = 0;
+  stack[top++] = {
+      0, static_cast<uint32_t>(first - root_node.y_sorted_ys.begin()),
+      static_cast<uint32_t>(last - root_node.y_sorted_ys.begin())};
+  while (top > 0) {
+    const Frame frame = stack[--top];
     if (frame.ya >= frame.yb) continue;
     const Node& node = nodes_[frame.id];
     if (node.x_lo > b || node.x_hi < a) continue;
@@ -149,10 +156,17 @@ void RangeTree2DSampler::CollectPieces(const Rect& q, size_t a, size_t b,
     // Bridge the y-range into both children.
     const uint32_t left_ya = node.bridge_left[frame.ya];
     const uint32_t left_yb = node.bridge_left[frame.yb];
-    stack.push_back({node.left, left_ya, left_yb});
-    stack.push_back(
-        {node.right, frame.ya - left_ya, frame.yb - left_yb});
+    IQS_DCHECK(top + 2 <= kMaxFrames);
+    stack[top++] = {node.left, left_ya, left_yb};
+    stack[top++] = {node.right, frame.ya - left_ya, frame.yb - left_yb};
   }
+}
+
+void RangeTree2DSampler::EnumeratePieces(const Rect& q,
+                                         std::vector<Piece>* pieces) const {
+  size_t a = 0;
+  size_t b = 0;
+  if (ResolveX(q, &a, &b)) CollectPieces(q, a, b, pieces);
 }
 
 bool RangeTree2DSampler::ResolveX(const Rect& q, size_t* a, size_t* b) const {
@@ -187,12 +201,8 @@ bool RangeTree2DSampler::ResolveX(const Rect& q, size_t* a, size_t* b) const {
 
 bool RangeTree2DSampler::QueryRect(const Rect& q, size_t s, Rng* rng,
                                    std::vector<Point2>* out) const {
-  size_t a = 0;
-  size_t b = 0;
-  if (!ResolveX(q, &a, &b)) return false;
-
   std::vector<Piece> pieces;
-  CollectPieces(q, a, b, &pieces);
+  EnumeratePieces(q, &pieces);
   if (pieces.empty()) return false;
   if (s == 0) return true;
 
@@ -208,7 +218,7 @@ bool RangeTree2DSampler::QueryRect(const Rect& q, size_t s, Rng* rng,
     const Piece& piece = pieces[i];
     const Node& node = nodes_[piece.node];
     positions.clear();
-    node.sampler->QueryPositions(piece.y_a, piece.y_b, counts[i], rng,
+    node.sampler->QueryPositions(piece.lo, piece.hi, counts[i], rng,
                                  &positions);
     for (size_t y_pos : positions) {
       out->push_back(points_by_x_[node.ids_by_y[y_pos]]);
@@ -244,27 +254,17 @@ void RangeTree2DSampler::QueryBatch(std::span<const RectBatchQuery> queries,
   const size_t nq = queries.size();
   result->resolved.resize(nq);
   result->offsets.resize(nq + 1);
-  size_t total_samples = 0;
-  for (size_t i = 0; i < nq; ++i) {
-    result->offsets[i] = total_samples;
-    plan.BeginQuery(queries[i].s);
-    size_t a = 0;
-    size_t b = 0;
-    if (!ResolveX(queries[i].rect, &a, &b)) {
-      result->resolved[i] = 0;
-      continue;
-    }
-    const size_t piece_base = pieces.size();
-    CollectPieces(queries[i].rect, a, b, &pieces);
-    const bool ok = pieces.size() > piece_base;
-    result->resolved[i] = ok ? 1 : 0;
-    if (!ok || queries[i].s == 0) continue;
-    for (size_t j = piece_base; j < pieces.size(); ++j) {
-      plan.AddGroup(pieces[j].y_a, pieces[j].y_b, pieces[j].weight, j);
-    }
-    total_samples += queries[i].s;
-  }
-  result->offsets[nq] = total_samples;
+  // Parallel mode enumerates the covers on the pool too (the descent is
+  // most of a batch at small s); the plan is the same either way.
+  std::optional<ScopedPool> scoped_pool;
+  if (!opts.sequential()) scoped_pool.emplace(opts);
+  ThreadPool* const pool = scoped_pool ? scoped_pool->get() : nullptr;
+  const size_t total_samples = EnumerateCovers(
+      queries, pool,
+      [this](const RectBatchQuery& query, std::vector<Piece>* out) {
+        EnumeratePieces(query.rect, out);
+      },
+      arena, &pieces, &plan, result->resolved, result->offsets);
 
   const CoverSplit split = CoverExecutor::Split(plan, rng, arena,
                                                 opts.telemetry);
@@ -333,7 +333,7 @@ void RangeTree2DSampler::QueryBatch(std::span<const RectBatchQuery> queries,
     for (size_t k = rs; k < re; ++k) {
       const Piece& piece = batch_pieces[groups[order[k]].tag];
       requests[m++] = PositionQuery{
-          piece.y_a, piece.y_b, static_cast<size_t>(split.counts[order[k]])};
+          piece.lo, piece.hi, static_cast<size_t>(split.counts[order[k]])};
     }
     staged->clear();
     node.sampler->QueryPositionsBatch(requests.first(m), run_rng, scratch,
@@ -363,13 +363,12 @@ void RangeTree2DSampler::QueryBatch(std::span<const RectBatchQuery> queries,
   // Parallel mode: runs are the shardable unit, each under its own
   // substream — the run composition depends only on the (sequential)
   // split above, so output is bit-identical for every thread count.
-  ScopedPool pool(opts);
   const Rng base(rng->Next64());
   if (opts.telemetry != nullptr) {
     ++opts.telemetry->shard(0)->stats.rng_draws;  // the batch key
   }
   ParallelForShards(
-      pool.get(), num_runs, [&](size_t first, size_t last, size_t worker) {
+      pool, num_runs, [&](size_t first, size_t last, size_t worker) {
         ScratchArena* wa = pool->worker_arena(worker);
         thread_local std::vector<size_t> staged;
         for (size_t r = first; r < last; ++r) {

@@ -91,17 +91,20 @@ class RangeTree2DSampler {
 
   uint32_t Build(size_t lo, size_t hi);
 
-  // A query piece: node + y-run [y_a, y_b] in that node's y-order.
+  // A query piece: node + y-run [lo, hi] in that node's y-order.
   struct Piece {
     uint32_t node;
-    uint32_t y_a;
-    uint32_t y_b;
+    uint32_t lo;
+    uint32_t hi;
     double weight;
   };
   // Canonical descent carrying the half-open y-index range [ya, yb) per
   // node via the cascading bridges; [a, b] is the inclusive x-range.
   void CollectPieces(const Rect& q, size_t a, size_t b,
                      std::vector<Piece>* pieces) const;
+  // ResolveX + CollectPieces: appends the rectangle's pieces (none when
+  // it holds no point). Randomness-free; safe to run concurrently.
+  void EnumeratePieces(const Rect& q, std::vector<Piece>* pieces) const;
 
   // Resolves the query's x-interval to inclusive x-order positions.
   bool ResolveX(const Rect& q, size_t* a, size_t* b) const;

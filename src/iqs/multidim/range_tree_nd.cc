@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
+#include "iqs/cover/cover_enumeration.h"
 #include "iqs/cover/cover_executor.h"
 #include "iqs/sampling/multinomial.h"
 #include "iqs/util/check.h"
@@ -31,12 +33,13 @@ RangeTreeNdSampler::RangeTreeNdSampler(size_t dim,
   }
   std::vector<uint32_t> ids(n);
   std::iota(ids.begin(), ids.end(), 0);
-  root_ = BuildStructure(0, std::move(ids));
+  uint32_t next_ordinal = 0;
+  root_ = BuildStructure(0, std::move(ids), &next_ordinal);
 }
 
 std::unique_ptr<RangeTreeNdSampler::LevelStructure>
-RangeTreeNdSampler::BuildStructure(size_t level,
-                                   std::vector<uint32_t> ids) const {
+RangeTreeNdSampler::BuildStructure(size_t level, std::vector<uint32_t> ids,
+                                   uint32_t* next_ordinal) const {
   auto s = std::make_unique<LevelStructure>();
   s->level = level;
   s->ids_sorted = std::move(ids);
@@ -53,6 +56,7 @@ RangeTreeNdSampler::BuildStructure(size_t level,
 
   if (level + 1 == dim_) {
     // Final level: prefix sums + the Theorem-3 sampler over this order.
+    s->ordinal = (*next_ordinal)++;
     s->weight_prefix.assign(m + 1, 0.0);
     std::vector<double> w(m);
     for (size_t i = 0; i < m; ++i) {
@@ -66,28 +70,30 @@ RangeTreeNdSampler::BuildStructure(size_t level,
   }
 
   s->tree.reserve(4 * (m / leaf_size_ + 2));
-  const uint32_t root = BuildTree(s.get(), 0, m - 1);
+  const uint32_t root = BuildTree(s.get(), 0, m - 1, next_ordinal);
   IQS_CHECK(root == 0);
   return s;
 }
 
 uint32_t RangeTreeNdSampler::BuildTree(LevelStructure* s, size_t lo,
-                                       size_t hi) const {
+                                       size_t hi,
+                                       uint32_t* next_ordinal) const {
   const uint32_t id = static_cast<uint32_t>(s->tree.size());
   s->tree.emplace_back();
   s->tree[id].lo = static_cast<uint32_t>(lo);
   s->tree[id].hi = static_cast<uint32_t>(hi);
   if (hi - lo + 1 > leaf_size_) {
     const size_t mid = lo + (hi - lo) / 2;
-    const uint32_t left = BuildTree(s, lo, mid);
-    const uint32_t right = BuildTree(s, mid + 1, hi);
+    const uint32_t left = BuildTree(s, lo, mid, next_ordinal);
+    const uint32_t right = BuildTree(s, mid + 1, hi, next_ordinal);
     s->tree[id].left = left;
     s->tree[id].right = right;
   }
   std::vector<uint32_t> sub_ids(
       s->ids_sorted.begin() + static_cast<ptrdiff_t>(lo),
       s->ids_sorted.begin() + static_cast<ptrdiff_t>(hi) + 1);
-  s->tree[id].child = BuildStructure(s->level + 1, std::move(sub_ids));
+  s->tree[id].child =
+      BuildStructure(s->level + 1, std::move(sub_ids), next_ordinal);
   return id;
 }
 
@@ -127,11 +133,15 @@ void RangeTreeNdSampler::CollectPieces(const LevelStructure& s,
   const uint32_t b =
       static_cast<uint32_t>(last - s.sorted_coords.begin()) - 1;
 
-  // Canonical descent.
-  std::vector<uint32_t> stack = {0};
-  while (!stack.empty()) {
-    const uint32_t id = stack.back();
-    stack.pop_back();
+  // Canonical descent on a fixed stack (never allocates): depth-first
+  // with both children pushed holds at most depth + 1 ids, and a balanced
+  // tree over < 2^32 points is at most 33 levels deep.
+  constexpr size_t kMaxFrames = 64;
+  uint32_t stack[kMaxFrames];
+  size_t top = 0;
+  stack[top++] = 0;
+  while (top > 0) {
+    const uint32_t id = stack[--top];
     const LevelStructure::TreeNode& node = s.tree[id];
     if (node.lo > b || node.hi < a) continue;
     if (a <= node.lo && node.hi <= b) {
@@ -158,8 +168,9 @@ void RangeTreeNdSampler::CollectPieces(const LevelStructure& s,
       }
       continue;
     }
-    stack.push_back(node.left);
-    stack.push_back(node.right);
+    IQS_DCHECK(top + 2 <= kMaxFrames);
+    stack[top++] = node.left;
+    stack[top++] = node.right;
   }
 }
 
@@ -182,11 +193,11 @@ bool RangeTreeNdSampler::QueryBox(const BoxNd& q, size_t s, Rng* rng,
     if (counts[i] == 0) continue;
     const Piece& piece = pieces[i];
     if (piece.leaf_structure == nullptr) {
-      for (uint32_t k = 0; k < counts[i]; ++k) out->push_back(piece.a);
+      for (uint32_t k = 0; k < counts[i]; ++k) out->push_back(piece.lo);
       continue;
     }
     positions.clear();
-    piece.leaf_structure->sampler->QueryPositions(piece.a, piece.b,
+    piece.leaf_structure->sampler->QueryPositions(piece.lo, piece.hi,
                                                   counts[i], rng, &positions);
     for (size_t pos : positions) {
       out->push_back(piece.leaf_structure->ids_sorted[pos]);
@@ -221,24 +232,19 @@ void RangeTreeNdSampler::QueryBatch(std::span<const BoxBatchQuery> queries,
   const size_t nq = queries.size();
   result->resolved.resize(nq);
   result->offsets.resize(nq + 1);
-  size_t total_samples = 0;
-  for (size_t i = 0; i < nq; ++i) {
-    IQS_DCHECK(queries[i].box.dim() == dim_);
-    result->offsets[i] = total_samples;
-    plan.BeginQuery(queries[i].s);
-    const size_t piece_base = pieces.size();
-    CollectPieces(*root_, queries[i].box, &pieces);
-    const bool ok = pieces.size() > piece_base;
-    result->resolved[i] = ok ? 1 : 0;
-    if (!ok || queries[i].s == 0) continue;
-    for (size_t j = piece_base; j < pieces.size(); ++j) {
-      // Singleton pieces (leaf_structure == nullptr) carry the point id in
-      // `a`; lo/hi are unused by the split stage.
-      plan.AddGroup(pieces[j].a, pieces[j].b, pieces[j].weight, j);
-    }
-    total_samples += queries[i].s;
-  }
-  result->offsets[nq] = total_samples;
+  // Parallel mode enumerates the covers on the pool too (see
+  // RangeTree2DSampler::QueryBatch). Singleton pieces carry the point id
+  // in lo == hi; the split stage never reads the range.
+  std::optional<ScopedPool> scoped_pool;
+  if (!opts.sequential()) scoped_pool.emplace(opts);
+  ThreadPool* const pool = scoped_pool ? scoped_pool->get() : nullptr;
+  const size_t total_samples = EnumerateCovers(
+      queries, pool,
+      [this](const BoxBatchQuery& query, std::vector<Piece>* out) {
+        IQS_DCHECK(query.box.dim() == dim_);
+        CollectPieces(*root_, query.box, out);
+      },
+      arena, &pieces, &plan, result->resolved, result->offsets);
 
   const CoverSplit split = CoverExecutor::Split(plan, rng, arena,
                                                 opts.telemetry);
@@ -274,16 +280,21 @@ void RangeTreeNdSampler::QueryBatch(std::span<const BoxBatchQuery> queries,
     if (piece.leaf_structure == nullptr) {
       const size_t dst = split.offsets[g];
       for (uint32_t d = 0; d < split.counts[g]; ++d) {
-        result->positions[dst + d] = piece.a;
+        result->positions[dst + d] = piece.lo;
       }
       continue;
     }
     order[active++] = static_cast<uint32_t>(g);
   }
+  // Runs are ordered by the structures' build ordinals, never by their
+  // addresses: run r draws from ForkStream(r) (and sequential mode walks
+  // runs in this order), so the order must not depend on heap layout.
   std::sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(active),
             [&](uint32_t ga, uint32_t gb) {
-              const auto* sa = batch_pieces[groups[ga].tag].leaf_structure;
-              const auto* sb = batch_pieces[groups[gb].tag].leaf_structure;
+              const uint32_t sa =
+                  batch_pieces[groups[ga].tag].leaf_structure->ordinal;
+              const uint32_t sb =
+                  batch_pieces[groups[gb].tag].leaf_structure->ordinal;
               return sa != sb ? sa < sb : ga < gb;
             });
 
@@ -315,7 +326,7 @@ void RangeTreeNdSampler::QueryBatch(std::span<const BoxBatchQuery> queries,
     for (size_t k = rs; k < re; ++k) {
       const Piece& piece = batch_pieces[groups[order[k]].tag];
       requests[m++] = PositionQuery{
-          piece.a, piece.b, static_cast<size_t>(split.counts[order[k]])};
+          piece.lo, piece.hi, static_cast<size_t>(split.counts[order[k]])};
     }
     staged->clear();
     structure->sampler->QueryPositionsBatch(requests.first(m), run_rng,
@@ -342,13 +353,12 @@ void RangeTreeNdSampler::QueryBatch(std::span<const BoxBatchQuery> queries,
 
   // Parallel mode: runs are the shardable unit, each under its own
   // substream (see RangeTree2DSampler::QueryBatch).
-  ScopedPool pool(opts);
   const Rng base(rng->Next64());
   if (opts.telemetry != nullptr) {
     ++opts.telemetry->shard(0)->stats.rng_draws;  // the batch key
   }
   ParallelForShards(
-      pool.get(), num_runs, [&](size_t first, size_t last, size_t worker) {
+      pool, num_runs, [&](size_t first, size_t last, size_t worker) {
         ScratchArena* wa = pool->worker_arena(worker);
         thread_local std::vector<size_t> staged;
         for (size_t r = first; r < last; ++r) {

@@ -78,6 +78,9 @@ class RangeTreeNdSampler {
   // balanced tree whose every node owns a child structure.
   struct LevelStructure {
     size_t level = 0;
+    // Final level: build-order index among final structures, the
+    // heap-independent key QueryBatch orders its runs by.
+    uint32_t ordinal = 0;
     // Ids sorted by coordinate `level`; on the final level also the
     // sampler, the sorted coordinate values (for binary search) and
     // weight prefix sums (O(1) piece weights).
@@ -98,18 +101,20 @@ class RangeTreeNdSampler {
   };
   static constexpr uint32_t kNull = ~uint32_t{0};
 
-  // Either a contiguous run [a, b] in a final structure's sorted order,
-  // or (leaf_structure == nullptr) a single point id stored in `a`.
+  // Either a contiguous run [lo, hi] in a final structure's sorted order,
+  // or (leaf_structure == nullptr) a single point id stored in lo == hi.
   struct Piece {
     const LevelStructure* leaf_structure;
-    uint32_t a;
-    uint32_t b;
+    uint32_t lo;
+    uint32_t hi;
     double weight;
   };
 
+  // `next_ordinal` numbers the final-level structures in build order.
   std::unique_ptr<LevelStructure> BuildStructure(
-      size_t level, std::vector<uint32_t> ids) const;
-  uint32_t BuildTree(LevelStructure* s, size_t lo, size_t hi) const;
+      size_t level, std::vector<uint32_t> ids, uint32_t* next_ordinal) const;
+  uint32_t BuildTree(LevelStructure* s, size_t lo, size_t hi,
+                     uint32_t* next_ordinal) const;
 
   void CollectPieces(const LevelStructure& s, const BoxNd& q,
                      std::vector<Piece>* pieces) const;

@@ -14,7 +14,9 @@
 // status the ticket must stay alive and must not be Reset or moved; after
 // Wait() returns (or status() reads a terminal state with acquire
 // semantics, which it does) the samples are safe to read from the
-// submitting thread.
+// submitting thread. An armed OnComplete hook runs after the terminal
+// state is published; Wait() also waits for it to return, so Reset after
+// Wait() is safe, while Reset after a terminal status() alone is not.
 //
 // Two completion modes:
 //   * Blocking: the submitter calls Wait() (the original mode).
@@ -75,19 +77,25 @@ class ServeTicket {
   ServeTicket(const ServeTicket&) = delete;
   ServeTicket& operator=(const ServeTicket&) = delete;
 
-  // Blocks until the query reaches a terminal status and returns it.
+  // Blocks until the query reaches a terminal status AND its OnComplete
+  // hook (if armed) has returned, then returns the status — so the
+  // submitter may Reset and resubmit as soon as Wait returns.
   ServeStatus Wait() const {
     uint32_t s = state_.load(std::memory_order_acquire);
-    while (s == static_cast<uint32_t>(ServeStatus::kPending)) {
+    while ((s & kSettled) == 0) {
       state_.wait(s, std::memory_order_acquire);
       s = state_.load(std::memory_order_acquire);
     }
-    return static_cast<ServeStatus>(s);
+    return static_cast<ServeStatus>(s & ~kSettled);
   }
 
   // Non-blocking peek; acquire, so a terminal read publishes samples().
+  // Terminal as soon as the state is published, which is before the
+  // OnComplete hook runs: a poller must not Reset on this alone while a
+  // hook may still be running (Wait covers that).
   ServeStatus status() const {
-    return static_cast<ServeStatus>(state_.load(std::memory_order_acquire));
+    return static_cast<ServeStatus>(state_.load(std::memory_order_acquire) &
+                                     ~kSettled);
   }
 
   // The query's draws; valid once the ticket is terminal with kOk (empty
@@ -130,19 +138,30 @@ class ServeTicket {
   }
 
   // FRONTEND-INTERNAL: publishes the terminal state, then fires the
-  // OnComplete hook (if armed). Exactly-once is enforced — completing a
-  // non-pending ticket aborts, so the hook cannot fire twice per submit.
+  // OnComplete hook (if armed), then marks the ticket settled and wakes
+  // Wait. Exactly-once is enforced — completing a non-pending ticket
+  // aborts, so the hook cannot fire twice per submit.
   void Complete(ServeStatus status, std::span<const Sample> samples,
                 uint64_t complete_ns) {
     IQS_DCHECK(status != ServeStatus::kPending);
     samples_.assign(samples.begin(), samples.end());
     complete_ns_ = complete_ns;
+    const uint32_t terminal = static_cast<uint32_t>(status);
+    const bool hooked = static_cast<bool>(on_complete_);
     uint32_t expected = static_cast<uint32_t>(ServeStatus::kPending);
     IQS_CHECK(state_.compare_exchange_strong(
-        expected, static_cast<uint32_t>(status), std::memory_order_release,
-        std::memory_order_relaxed));
+        expected, hooked ? terminal : terminal | kSettled,
+        std::memory_order_release, std::memory_order_relaxed));
+    if (hooked) {
+      on_complete_(*this);
+      // Settle only the completion this call published: a hook that
+      // Reset and resubmitted its own ticket has moved the state on.
+      expected = terminal;
+      state_.compare_exchange_strong(expected, terminal | kSettled,
+                                     std::memory_order_release,
+                                     std::memory_order_relaxed);
+    }
     state_.notify_all();
-    if (on_complete_) on_complete_(*this);
   }
 
   // FRONTEND-INTERNAL: stamped on admission, before the ticket is queued.
@@ -154,6 +173,10 @@ class ServeTicket {
   // release-stores a terminal status; the submitter reads them only after
   // an acquire load of state_ observes that status (Wait/status). No
   // mutex exists to name, and none is needed.
+  // state_ = a ServeStatus, plus kSettled once the OnComplete hook (if
+  // any) has returned; Wait waits for kSettled, status() masks it off.
+  static constexpr uint32_t kSettled = uint32_t{1} << 31;
+
   std::vector<Sample> samples_;
   std::function<void(const ServeTicket&)> on_complete_;  // armed while idle
   uint64_t submit_ns_ = 0;

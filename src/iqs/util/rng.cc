@@ -55,7 +55,7 @@ Rng Rng::ForkStream(uint64_t stream_id) const {
   // One long-jump pushes the child 2^192 steps out, so even a child whose
   // seed lands near the parent's sequence cannot overlap it within any
   // realistic draw count.
-  child.LongJump();
+  child.LongJumpByTable();
   return child;
 }
 
@@ -77,6 +77,59 @@ void Rng::LongJump() {
         s3 ^= s_[3];
       }
       Next64();
+    }
+  }
+  s_[0] = s0;
+  s_[1] = s1;
+  s_[2] = s2;
+  s_[3] = s3;
+}
+
+const Rng::JumpImage* Rng::LongJumpTable() {
+  // The jump is GF(2)-linear in the state, so it distributes over XOR:
+  // jump(s) = XOR over the 64 nibbles of s of jump(that nibble alone).
+  // Entry 16 * i + v is the jump of the state whose nibble i is v and
+  // whose other bits are 0, nibble i being bits [4(i % 16), 4(i % 16) + 4)
+  // of word i / 16. Built once, on first use, from the 256 single-bit
+  // images (~65k xoshiro steps).
+  static const std::array<JumpImage, 64 * 16> table = [] {
+    std::array<JumpImage, 256> bit_image{};
+    for (int bit = 0; bit < 256; ++bit) {
+      Rng unit;
+      unit.s_[0] = unit.s_[1] = unit.s_[2] = unit.s_[3] = 0;
+      unit.s_[bit / 64] = uint64_t{1} << (bit % 64);
+      unit.LongJump();
+      for (int w = 0; w < 4; ++w) bit_image[bit][w] = unit.s_[w];
+    }
+    std::array<JumpImage, 64 * 16> images{};
+    for (int i = 0; i < 64; ++i) {
+      for (int v = 1; v < 16; ++v) {
+        for (int b = 0; b < 4; ++b) {
+          if ((v >> b & 1) == 0) continue;
+          for (int w = 0; w < 4; ++w) {
+            images[16 * i + v][w] ^= bit_image[4 * i + b][w];
+          }
+        }
+      }
+    }
+    return images;
+  }();
+  return table.data();
+}
+
+void Rng::LongJumpByTable() {
+  uint64_t s0 = 0;
+  uint64_t s1 = 0;
+  uint64_t s2 = 0;
+  uint64_t s3 = 0;
+  const JumpImage* images = LongJumpTable();
+  for (const uint64_t word : s_) {
+    for (int shift = 0; shift < 64; shift += 4, images += 16) {
+      const JumpImage& image = images[(word >> shift) & 0xf];
+      s0 ^= image[0];
+      s1 ^= image[1];
+      s2 ^= image[2];
+      s3 ^= image[3];
     }
   }
   s_[0] = s0;

@@ -11,6 +11,7 @@
 #ifndef IQS_UTIL_RNG_H_
 #define IQS_UTIL_RNG_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -108,13 +109,24 @@ class Rng {
   Rng ForkStream(uint64_t stream_id) const;
 
   // Advances this generator by 2^192 steps of its sequence (the
-  // xoshiro256++ LONG_JUMP polynomial).
+  // xoshiro256++ LONG_JUMP polynomial), evaluated bit by bit: 256
+  // dependent Next64 steps. The reference for LongJumpByTable.
   void LongJump();
+
+  // The same jump — byte-identical result — applied as the fixed
+  // GF(2)-linear map it is: the new state is the XOR of one precomputed
+  // image per 4-bit window of the old state (64 windows x 16 values x 4
+  // words, a 32 KB table built on first use). ForkStream uses it.
+  void LongJumpByTable();
 
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
+
+  // LongJumpByTable's 64 x 16 precomputed images (see rng.cc).
+  using JumpImage = std::array<uint64_t, 4>;
+  static const JumpImage* LongJumpTable();
 
   uint64_t s_[4];
 };

@@ -4,7 +4,8 @@
 
 namespace iqs {
 
-ThreadPool::ThreadPool(size_t num_threads) : num_threads_(num_threads) {
+ThreadPool::ThreadPool(size_t num_threads)
+    : num_threads_(num_threads), queues_(num_threads) {
   IQS_CHECK(num_threads >= 1);
   arenas_.reserve(num_threads_);
   for (size_t w = 0; w < num_threads_; ++w) {
@@ -41,17 +42,17 @@ void ThreadPool::ParallelFor(size_t num_shards,
     return;
   }
 
-  // Deal shards round-robin so every worker starts with local work; the
-  // stealing in RunShards rebalances whatever the deal gets wrong.
-  std::vector<std::deque<size_t>> queues(num_threads_);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    queues[shard % num_threads_].push_back(shard);
-  }
-  Job job{fn, &queues, /*unclaimed=*/num_shards, /*unfinished=*/num_shards,
+  Job job{fn, /*unclaimed=*/num_shards, /*unfinished=*/num_shards,
           /*workers_inside=*/0};
 
   mu_.Lock();
   IQS_CHECK(current_job_ == nullptr);  // nested/concurrent ParallelFor
+  // Deal shards round-robin so every worker starts with local work; the
+  // stealing in RunShards rebalances whatever the deal gets wrong.
+  for (size_t w = 0; w < num_threads_; ++w) {
+    queues_[w] = WorkerQueue{0, (num_shards + num_threads_ - 1 - w) /
+                                    num_threads_};
+  }
   current_job_ = &job;
   ++job_epoch_;
   job_cv_.NotifyAll();
@@ -92,25 +93,24 @@ void ThreadPool::WorkerLoop(size_t worker) {
 }
 
 void ThreadPool::RunShards(Job* job, size_t worker) {
-  std::vector<std::deque<size_t>>& queues = *job->queues;
   while (job->unclaimed > 0) {
-    // Own deque first (LIFO: the most recently dealt shard's queries are
+    // Own queue first (LIFO: the most recently dealt shard's queries are
     // the likeliest to share cover nodes with the last one served), then
     // steal FIFO from the other workers, scanning from the next index so
     // thieves spread out instead of all raiding worker 0.
     size_t shard = 0;
     bool found = false;
     bool stolen = false;
-    if (!queues[worker].empty()) {
-      shard = queues[worker].back();
-      queues[worker].pop_back();
+    WorkerQueue& own = queues_[worker];
+    if (own.head < own.tail) {
+      shard = worker + --own.tail * num_threads_;
       found = true;
     } else {
       for (size_t k = 1; k < num_threads_ && !found; ++k) {
-        std::deque<size_t>& victim = queues[(worker + k) % num_threads_];
-        if (!victim.empty()) {
-          shard = victim.front();
-          victim.pop_front();
+        const size_t victim = (worker + k) % num_threads_;
+        WorkerQueue& queue = queues_[victim];
+        if (queue.head < queue.tail) {
+          shard = victim + queue.head++ * num_threads_;
           found = true;
           stolen = true;
         }

@@ -7,9 +7,13 @@
 // for all queue bookkeeping — claim and completion accounting are a few
 // dozen nanoseconds against shard bodies that run unlocked — and spends
 // its complexity budget on the stealing discipline instead: each worker
-// owns a deque seeded round-robin, pops its own work LIFO (cache-warm),
+// owns a queue seeded round-robin, pops its own work LIFO (cache-warm),
 // and steals FIFO from its neighbours when it runs dry, so an uneven
 // shard (one query with a huge budget) cannot idle the other workers.
+// Because the deal is round-robin, worker w's queue is always the
+// arithmetic run w, w+k, w+2k, ... — a queue is just a [head, tail) pair
+// of positions in that run, kept in the pool, so ParallelFor itself never
+// touches the heap.
 //
 // The CALLING thread is worker 0 and participates fully: ThreadPool(k)
 // spawns k-1 background threads, and ThreadPool(1) degenerates to an
@@ -26,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -80,10 +83,16 @@ class ThreadPool {
   // and read-only afterwards.
   struct Job {
     FunctionRef<void(size_t, size_t)> fn;
-    std::vector<std::deque<size_t>>* queues;  // one deque per worker
     size_t unclaimed = 0;       // shards still sitting in queues
     size_t unfinished = 0;      // shards not yet done executing
     size_t workers_inside = 0;  // background workers touching this job
+  };
+
+  // Worker w's unclaimed shards are w + p * num_threads_ for p in
+  // [head, tail): the owner pops at tail, thieves take from head.
+  struct WorkerQueue {
+    size_t head = 0;
+    size_t tail = 0;
   };
 
   void WorkerLoop(size_t worker) IQS_EXCLUDES(mu_);
@@ -106,6 +115,8 @@ class ThreadPool {
   uint64_t job_epoch_ IQS_GUARDED_BY(mu_) = 0;  // bumped once per ParallelFor
   Job* current_job_ IQS_GUARDED_BY(mu_) = nullptr;
   bool shutdown_ IQS_GUARDED_BY(mu_) = false;
+  // One per worker, re-dealt by every ParallelFor.
+  std::vector<WorkerQueue> queues_ IQS_GUARDED_BY(mu_);
 
   // Set only between ParallelFor calls (see set_telemetry), read by
   // workers mid-job; each worker writes only its own shard.

@@ -5,6 +5,7 @@
 // from exactly the same per-query distribution as the single-query
 // per-sample path, on uniform, Zipf, and clustered workloads.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -18,12 +19,15 @@
 #include "iqs/multidim/multidim_batch.h"
 #include "iqs/multidim/quadtree.h"
 #include "iqs/multidim/range_tree.h"
+#include "iqs/multidim/range_tree_nd.h"
 #include "iqs/range/aug_range_sampler.h"
 #include "iqs/range/bst_range_sampler.h"
 #include "iqs/range/chunked_range_sampler.h"
 #include "iqs/util/distributions.h"
 #include "iqs/util/rng.h"
 #include "iqs/util/scratch_arena.h"
+#include "iqs/util/thread_pool.h"
+#include "new_counter.h"
 #include "test_util.h"
 
 namespace iqs {
@@ -220,6 +224,24 @@ std::vector<multidim::Point2> RandomPoints(size_t n, Rng* rng) {
   return points;
 }
 
+// Row-major d = 2 coordinates of `points`, for RangeTreeNdSampler.
+std::vector<double> FlatCoords(const std::vector<multidim::Point2>& points) {
+  std::vector<double> coords;
+  for (const multidim::Point2& p : points) {
+    coords.push_back(p.x);
+    coords.push_back(p.y);
+  }
+  return coords;
+}
+
+// The same query as a d = 2 box.
+multidim::BoxBatchQuery AsBoxQuery(const multidim::RectBatchQuery& q) {
+  multidim::BoxNd box(2);
+  box.set(0, q.rect.x_lo, q.rect.x_hi);
+  box.set(1, q.rect.y_lo, q.rect.y_hi);
+  return {box, q.s};
+}
+
 // Chi-square batch-vs-single equivalence for any sampler exposing
 // QueryRect + QueryBatch over Point2 results.
 template <typename Sampler>
@@ -351,27 +373,100 @@ TEST(MultidimBatchTest, SteadyStateMakesNoArenaAllocations) {
   const auto weights = ZipfWeights(n, 1.0, &rng);
   const multidim::KdTreeSampler kd(points, weights);
   const multidim::RangeTree2DSampler rtree(points, weights);
+  const multidim::RangeTreeNdSampler nd_tree(2, FlatCoords(points), weights);
 
   std::vector<multidim::RectBatchQuery> queries;
+  std::vector<multidim::BoxBatchQuery> boxes;
   for (int i = 0; i < 32; ++i) {
     const double x = rng.NextDouble() * 0.5;
     const double y = rng.NextDouble() * 0.5;
     queries.push_back({multidim::Rect{x, x + 0.4, y, y + 0.4}, 48});
+    boxes.push_back(AsBoxQuery(queries.back()));
   }
+  // Both range trees also serve in the parallel mode on a persistent
+  // pool: enumeration and draws then run on its workers, whose arenas
+  // must settle too.
+  ThreadPool pool(4);
+  BatchOptions parallel;
+  parallel.num_threads = pool.num_threads();
+  parallel.pool = &pool;
   ScratchArena arena;
   multidim::PointBatchResult result;
+  BatchResult nd_result;
   Rng qrng(32);
-  for (int round = 0; round < 3; ++round) {  // warm-up growth + coalesce
+  auto serve_all = [&] {
     kd.QueryBatch(queries, &qrng, &arena, &result);
     rtree.QueryBatch(queries, &qrng, &arena, &result);
+    rtree.QueryBatch(queries, &qrng, &arena, parallel, &result);
+    nd_tree.QueryBatch(boxes, &qrng, &arena, &nd_result);
+    nd_tree.QueryBatch(boxes, &qrng, &arena, parallel, &nd_result);
+  };
+  // Blocks allocated by the caller's arena, then by each worker arena.
+  auto blocks = [&] {
+    std::vector<size_t> counts = {arena.blocks_allocated()};
+    for (size_t w = 0; w < pool.num_threads(); ++w) {
+      counts.push_back(pool.worker_arena(w)->blocks_allocated());
+    }
+    return counts;
+  };
+  for (int round = 0; round < 3; ++round) serve_all();  // warm-up growth
+  // Stealing decides which worker serves which run, so a worker can sit
+  // idle through the warm-up rounds. Warm every worker arena with one
+  // sequential batch per tree too: that holds the scratch of all runs at
+  // once, more than any single run needs.
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    rtree.QueryBatch(queries, &qrng, pool.worker_arena(w), &result);
+    nd_tree.QueryBatch(boxes, &qrng, pool.worker_arena(w), &nd_result);
   }
-  const size_t warm_blocks = arena.blocks_allocated();
-  for (int round = 0; round < 20; ++round) {
-    kd.QueryBatch(queries, &qrng, &arena, &result);
-    rtree.QueryBatch(queries, &qrng, &arena, &result);
+  const std::vector<size_t> warm_blocks = blocks();
+  for (int round = 0; round < 20; ++round) serve_all();
+  EXPECT_EQ(blocks(), warm_blocks)
+      << "multidim batched serving must be allocation-free in steady state "
+         "(caller arena first, then worker arenas)";
+}
+
+TEST(MultidimBatchTest, ParallelCoverEnumerationMakesNoHeapAllocations) {
+  // Stronger than the arena check for the enumeration pass: with every
+  // budget 0 a batch is enumeration plus split, and once warm the
+  // parallel mode on a persistent pool performs no heap allocation on any
+  // thread (descent stacks, per-worker piece buffers, stitching, pool
+  // bookkeeping, result vectors).
+  Rng rng(33);
+  const size_t n = 4096;
+  const auto points = RandomPoints(n, &rng);
+  const auto weights = ZipfWeights(n, 1.0, &rng);
+  const multidim::RangeTree2DSampler rtree(points, weights);
+  const multidim::RangeTreeNdSampler nd_tree(2, FlatCoords(points), weights);
+  std::vector<multidim::RectBatchQuery> queries;
+  std::vector<multidim::BoxBatchQuery> boxes;
+  for (int i = 0; i < 64; ++i) {
+    const double x = rng.NextDouble() * 0.8;
+    const double y = rng.NextDouble() * 0.8;
+    const double side = 0.01 + 0.19 * rng.NextDouble();
+    queries.push_back({multidim::Rect{x, x + side, y, y + side}, 0});
+    boxes.push_back(AsBoxQuery(queries.back()));
   }
-  EXPECT_EQ(arena.blocks_allocated(), warm_blocks)
-      << "multidim batched serving must be allocation-free in steady state";
+  ThreadPool pool(4);
+  BatchOptions parallel;
+  parallel.num_threads = pool.num_threads();
+  parallel.pool = &pool;
+  ScratchArena arena;
+  multidim::PointBatchResult result;
+  BatchResult nd_result;
+  Rng qrng(34);
+  auto serve_both = [&] {
+    rtree.QueryBatch(queries, &qrng, &arena, parallel, &result);
+    nd_tree.QueryBatch(boxes, &qrng, &arena, parallel, &nd_result);
+  };
+  for (int round = 0; round < 3; ++round) serve_both();  // warm-up growth
+  const uint64_t before = testing::NewCalls();
+  for (int round = 0; round < 20; ++round) serve_both();
+  EXPECT_EQ(testing::NewCalls(), before);
+  // Not vacuous: both trees resolved the same, nonempty set of queries.
+  const auto resolved = std::count(result.resolved.begin(),
+                                   result.resolved.end(), 1);
+  EXPECT_GT(resolved, 0);
+  EXPECT_EQ(nd_result.resolved, result.resolved);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
@@ -29,22 +28,9 @@
 namespace iqs {
 namespace {
 
-// FNV-1a over little-endian words — the golden-hash scheme used to pin
-// byte-identity (hash constants captured from the pre-epoch build).
-struct Fnv {
-  uint64_t h = 1469598103934665603ULL;
-  void U64(uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  }
-  void F64(double d) {
-    uint64_t bits;
-    std::memcpy(&bits, &d, 8);
-    U64(bits);
-  }
-};
+// Golden hashes use testing::Fnv (test_util.h); the constants below were
+// captured from the pre-epoch build.
+using testing::Fnv;
 
 TEST(ConcurrentSnapshotTest, LogarithmicGoldenBytesUnchangedSingleThreaded) {
   // The acceptance pin: with no concurrent writer, the refactored sampler

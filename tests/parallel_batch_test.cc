@@ -25,6 +25,7 @@
 #include "iqs/range/chunked_range_sampler.h"
 #include "iqs/range/naive_range_sampler.h"
 #include "iqs/range/range_sampler.h"
+#include "iqs/simd/dispatch.h"
 #include "iqs/tree/subtree_sampler.h"
 #include "iqs/tree/weighted_tree.h"
 #include "iqs/util/batch_options.h"
@@ -270,6 +271,122 @@ TEST(ParallelRangeTreeNdTest, BitIdenticalAcrossThreadCounts) {
   for (size_t num_threads : kThreadCounts) {
     EXPECT_EQ(run(num_threads), reference) << num_threads << " threads";
   }
+}
+
+// Golden bytes: fixed-seed output of both range trees, in the parallel
+// mode on a persistent 4-worker pool and in the sequential mode, hashed
+// with testing::Fnv. Pinned under the scalar backend — the bit-stable
+// reference (simd/dispatch.h) — so the constants hold on every host and
+// build. Any change to cover enumeration, run formation or substream
+// assignment that moves a single output byte fails here.
+class ScopedScalarBackend {
+ public:
+  ScopedScalarBackend() { simd::ForceBackend(simd::Backend::kScalar); }
+  ~ScopedScalarBackend() { simd::ClearForcedBackend(); }
+};
+
+constexpr size_t kGoldenWorkers = 4;
+constexpr int kGoldenRounds = 3;
+
+// Three batches from one stream: mixed rectangle sizes, a few tiny ones
+// (boundary-leaf singletons), one outside the data and some s = 0.
+uint64_t RangeTree2DGoldenHash(size_t num_threads) {
+  ScopedScalarBackend scalar;
+  Rng data_rng(2024);
+  const size_t n = 4000;
+  std::vector<multidim::Point2> points(n);
+  std::vector<double> weights(n);
+  for (size_t i = 0; i < n; ++i) {
+    points[i] = {data_rng.NextDouble(), data_rng.NextDouble()};
+    weights[i] = 0.1 + data_rng.NextDouble();
+  }
+  const multidim::RangeTree2DSampler sampler(points, weights);
+  std::vector<multidim::RectBatchQuery> queries;
+  for (int i = 0; i < 48; ++i) {
+    const double side = i % 8 == 0 ? 0.01 : 0.02 + 0.3 * data_rng.NextDouble();
+    const double x = data_rng.NextDouble() * (1.0 - side);
+    const double y = data_rng.NextDouble() * (1.0 - side);
+    queries.push_back({multidim::Rect{x, x + side, y, y + side},
+                       i % 11 == 5 ? size_t{0} : 8 + data_rng.Below(40)});
+  }
+  queries.push_back({multidim::Rect{2.0, 3.0, 2.0, 3.0}, 16});
+
+  ThreadPool pool(kGoldenWorkers);
+  BatchOptions opts;
+  opts.num_threads = num_threads;
+  if (num_threads > 0) opts.pool = &pool;
+  Rng rng(77);
+  ScratchArena arena;
+  multidim::PointBatchResult result;
+  testing::Fnv fnv;
+  for (int round = 0; round < kGoldenRounds; ++round) {
+    sampler.QueryBatch(queries, &rng, &arena, opts, &result);
+    for (const multidim::Point2& p : result.points) {
+      fnv.F64(p.x);
+      fnv.F64(p.y);
+    }
+    for (size_t offset : result.offsets) fnv.U64(offset);
+    for (uint8_t flag : result.resolved) fnv.U64(flag);
+  }
+  return fnv.h;
+}
+
+uint64_t RangeTreeNdGoldenHash(size_t num_threads) {
+  ScopedScalarBackend scalar;
+  Rng data_rng(2025);
+  const size_t n = 1500;
+  const size_t dim = 3;
+  std::vector<double> coords(n * dim);
+  std::vector<double> weights(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < dim; ++d) {
+      coords[i * dim + d] = data_rng.NextDouble();
+    }
+    weights[i] = 0.1 + data_rng.NextDouble();
+  }
+  const multidim::RangeTreeNdSampler sampler(dim, coords, weights);
+  std::vector<multidim::BoxBatchQuery> queries;
+  for (int i = 0; i < 32; ++i) {
+    multidim::BoxNd box(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      const double side = i % 8 == 0 ? 0.05 : 0.2 + 0.5 * data_rng.NextDouble();
+      const double lo = data_rng.NextDouble() * (1.0 - side);
+      box.set(d, lo, lo + side);
+    }
+    queries.push_back({box, i % 11 == 5 ? size_t{0} : 8 + data_rng.Below(40)});
+  }
+  multidim::BoxNd outside(dim);
+  for (size_t d = 0; d < dim; ++d) outside.set(d, 2.0, 3.0);
+  queries.push_back({outside, 16});
+
+  ThreadPool pool(kGoldenWorkers);
+  BatchOptions opts;
+  opts.num_threads = num_threads;
+  if (num_threads > 0) opts.pool = &pool;
+  Rng rng(78);
+  ScratchArena arena;
+  BatchResult result;
+  testing::Fnv fnv;
+  for (int round = 0; round < kGoldenRounds; ++round) {
+    sampler.QueryBatch(queries, &rng, &arena, opts, &result);
+    for (size_t id : result.positions) fnv.U64(id);
+    for (size_t offset : result.offsets) fnv.U64(offset);
+    for (uint8_t flag : result.resolved) fnv.U64(flag);
+  }
+  return fnv.h;
+}
+
+// The 2-d constants were captured before cover enumeration moved onto the
+// pool; the N-d ones once its runs were ordered by structure ordinal
+// instead of address (the earlier N-d bytes depended on heap layout).
+TEST(RangeTreeGoldenTest, RangeTree2DOutputBytesUnchanged) {
+  EXPECT_EQ(RangeTree2DGoldenHash(kGoldenWorkers), 0x33618afa7c23be23ULL);
+  EXPECT_EQ(RangeTree2DGoldenHash(0), 0x55e2d947e8a4dd2eULL);
+}
+
+TEST(RangeTreeGoldenTest, RangeTreeNdOutputBytesUnchanged) {
+  EXPECT_EQ(RangeTreeNdGoldenHash(kGoldenWorkers), 0xa89b764987eb2834ULL);
+  EXPECT_EQ(RangeTreeNdGoldenHash(0), 0xe56e8214a023ebcdULL);
 }
 
 TEST(ParallelKdQuadTest, BitIdenticalAcrossThreadCounts) {

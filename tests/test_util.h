@@ -5,6 +5,7 @@
 #define IQS_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -45,6 +46,23 @@ inline void ExpectSamplesMatchWeights(const std::vector<size_t>& samples,
   }
   ExpectDistributionClose(counts, Normalize(weights), alpha);
 }
+
+// FNV-1a over little-endian words — the golden-hash scheme used to pin
+// byte-identity of fixed-seed output across refactors.
+struct Fnv {
+  uint64_t h = 1469598103934665603ULL;
+  void U64(uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  }
+  void F64(double d) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, 8);
+    U64(bits);
+  }
+};
 
 }  // namespace iqs::testing
 

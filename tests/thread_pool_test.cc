@@ -7,6 +7,7 @@
 
 #include "gtest/gtest.h"
 #include "iqs/util/batch_options.h"
+#include "new_counter.h"
 
 namespace iqs {
 namespace {
@@ -73,6 +74,26 @@ TEST(ThreadPoolTest, UnevenShardsAllComplete) {
     work[shard].store(acc + 1, std::memory_order_relaxed);
   });
   for (size_t i = 0; i < kShards; ++i) EXPECT_NE(work[i].load(), 0u);
+}
+
+TEST(ThreadPoolTest, ParallelForMakesNoHeapAllocations) {
+  // The header's promise: after the pool exists, ParallelFor itself never
+  // allocates — not per call, not per shard count, not when stealing.
+  ThreadPool pool(4);
+  std::atomic<size_t> sum{0};
+  auto body = [&](size_t shard, size_t) {
+    sum.fetch_add(shard, std::memory_order_relaxed);
+  };
+  pool.ParallelFor(16, body);  // warm-up
+  const uint64_t before = testing::NewCalls();
+  size_t expected = sum.load();
+  for (size_t round = 0; round < 200; ++round) {
+    const size_t shards = 1 + round % 40;
+    pool.ParallelFor(shards, body);
+    expected += shards * (shards - 1) / 2;
+  }
+  EXPECT_EQ(testing::NewCalls(), before);
+  EXPECT_EQ(sum.load(), expected);
 }
 
 TEST(ThreadPoolTest, WorkerArenasAreDistinctAndPersistent) {
