@@ -15,11 +15,14 @@
 
 namespace iqs::join {
 
+// Adding it to a uint32 Fenwick cell subtracts 1 (cells wrap mod 2^32).
+constexpr uint32_t kMinusOne = ~uint32_t{0};
+
 void ActiveSetSampler::QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
                                       std::vector<size_t>* out) const {
   IQS_DCHECK(a <= b && b < fenwick_->size());
-  const uint64_t below = fenwick_->PrefixCount(a);
-  const uint64_t count = fenwick_->PrefixCount(b + 1) - below;
+  const uint64_t below = fenwick_->PrefixSum(a);
+  const uint64_t count = fenwick_->PrefixSum(b + 1) - below;
   IQS_DCHECK(count > 0);  // cover groups carry weight = live active count
   // Block the uniform draws through FillBelow (the shared SIMD-friendly
   // path), then resolve each to the k-th active slot of the range.
@@ -30,7 +33,7 @@ void ActiveSetSampler::QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
     const size_t chunk = std::min(s - done, kDrawBlock);
     rng->FillBelow(count, std::span<uint64_t>(block, chunk));
     for (size_t i = 0; i < chunk; ++i) {
-      out->push_back(fenwick_->SelectKth(below + block[i]));
+      out->push_back(fenwick_->SearchPrefix(below + block[i]));
     }
     done += chunk;
   }
@@ -116,7 +119,7 @@ ActiveRankTree::ActiveRankTree(std::span<const multidim::Rect> rects,
     }
   }
 
-  fenwick_ = CountFenwick(num_slots);
+  fenwick_ = ActivityCounts(num_slots);
   slot_keys_.resize(num_slots);
   std::iota(slot_keys_.begin(), slot_keys_.end(), 0.0);
   sampler_ = std::unique_ptr<ActiveSetSampler>(
@@ -139,28 +142,28 @@ ActiveRankTree::ActiveRankTree(std::span<const multidim::Rect> rects,
     yhi_by_rank_[pos] = rects[yhi_order[pos]].y_hi;
     yhi_pos_of_id_[yhi_order[pos]] = static_cast<uint32_t>(pos);
   }
-  ylo_count_ = CountFenwick(m_);
-  yhi_count_ = CountFenwick(m_);
+  ylo_count_ = ActivityCounts(m_);
+  yhi_count_ = ActivityCounts(m_);
 }
 
 void ActiveRankTree::Activate(uint32_t id) {
   IQS_DCHECK(id < m_);
   const size_t base = static_cast<size_t>(ylo_pos_of_id_[id]) * levels_;
   for (size_t level = 0; level < levels_; ++level) {
-    fenwick_.Add(slot_of_[base + level], +1);
+    fenwick_.Add(slot_of_[base + level], 1);
   }
-  ylo_count_.Add(ylo_pos_of_id_[id], +1);
-  yhi_count_.Add(yhi_pos_of_id_[id], +1);
+  ylo_count_.Add(ylo_pos_of_id_[id], 1);
+  yhi_count_.Add(yhi_pos_of_id_[id], 1);
 }
 
 void ActiveRankTree::Deactivate(uint32_t id) {
   IQS_DCHECK(id < m_);
   const size_t base = static_cast<size_t>(ylo_pos_of_id_[id]) * levels_;
   for (size_t level = 0; level < levels_; ++level) {
-    fenwick_.Add(slot_of_[base + level], -1);
+    fenwick_.Add(slot_of_[base + level], kMinusOne);
   }
-  ylo_count_.Add(ylo_pos_of_id_[id], -1);
-  yhi_count_.Add(yhi_pos_of_id_[id], -1);
+  ylo_count_.Add(ylo_pos_of_id_[id], kMinusOne);
+  yhi_count_.Add(yhi_pos_of_id_[id], kMinusOne);
 }
 
 uint64_t ActiveRankTree::CountActive(double ylo_max, double yhi_min) const {
@@ -178,7 +181,7 @@ uint64_t ActiveRankTree::CountActive(double ylo_max, double yhi_min) const {
   const size_t q = static_cast<size_t>(
       std::lower_bound(yhi_by_rank_.begin(), yhi_by_rank_.end(), yhi_min) -
       yhi_by_rank_.begin());
-  return ylo_count_.PrefixCount(p) - yhi_count_.PrefixCount(q);
+  return ylo_count_.PrefixSum(p) - yhi_count_.PrefixSum(q);
 }
 
 uint64_t ActiveRankTree::AppendActiveCover(double ylo_max, double yhi_min,
@@ -198,7 +201,7 @@ uint64_t ActiveRankTree::AppendActiveCover(double ylo_max, double yhi_min,
                    std::lower_bound(seg_begin, seg_end, yhi_min) - seg_begin);
     const size_t hi = base + (end - first);
     if (lo >= hi) return;
-    const uint64_t count = fenwick_.PrefixCount(hi) - fenwick_.PrefixCount(lo);
+    const uint64_t count = fenwick_.PrefixSum(hi) - fenwick_.PrefixSum(lo);
     if (count == 0) return;  // CoverPlan groups must carry weight > 0
     plan->AddGroup(lo, hi - 1, static_cast<double>(count));
     total += count;

@@ -54,6 +54,7 @@
 
 #include "iqs/cover/cover_plan.h"
 #include "iqs/multidim/point.h"
+#include "iqs/range/fenwick_tree.h"
 #include "iqs/range/range_sampler.h"
 #include "iqs/util/check.h"
 #include "iqs/util/rng.h"
@@ -61,67 +62,11 @@
 
 namespace iqs::join {
 
-// Fenwick tree over small nonnegative integer counts (0/1 activity here):
-// point add, prefix count, and k-th-set-position selection, all O(log n).
-// A count sibling of range/fenwick_tree.h's double tree — selection must
-// be exact on integers, and half-width cells keep the hot sweep loop in
-// cache.
-class CountFenwick {
- public:
-  CountFenwick() = default;
-  explicit CountFenwick(size_t n) : tree_(n + 1, 0), size_(n) {}
-
-  size_t size() const { return size_; }
-
-  void Add(size_t i, int32_t delta) {
-    IQS_DCHECK(i < size_);
-    for (size_t j = i + 1; j < tree_.size(); j += j & (~j + 1)) {
-      tree_[j] = static_cast<uint32_t>(static_cast<int64_t>(tree_[j]) + delta);
-    }
-  }
-
-  // Count of set units in positions [0, i).
-  uint64_t PrefixCount(size_t i) const {
-    IQS_DCHECK(i <= size_);
-    uint64_t sum = 0;
-    for (size_t j = i; j > 0; j -= j & (~j + 1)) sum += tree_[j];
-    return sum;
-  }
-
-  // Count of set units in positions [lo, hi] inclusive.
-  uint64_t RangeCount(size_t lo, size_t hi) const {
-    IQS_DCHECK(lo <= hi && hi < size_);
-    return PrefixCount(hi + 1) - PrefixCount(lo);
-  }
-
-  uint64_t Total() const { return PrefixCount(size_); }
-
-  // Position of the (k+1)-th set unit (0-based k < Total()): the smallest
-  // position pos with PrefixCount(pos + 1) > k. O(log n) top-down.
-  size_t SelectKth(uint64_t k) const {
-    IQS_DCHECK(size_ > 0);
-    IQS_DCHECK(k < Total());
-    size_t pos = 0;
-    size_t mask = 1;
-    while ((mask << 1) <= size_) mask <<= 1;
-    for (; mask > 0; mask >>= 1) {
-      const size_t next = pos + mask;
-      if (next < tree_.size() && tree_[next] <= k) {
-        k -= tree_[next];
-        pos = next;
-      }
-    }
-    return pos;
-  }
-
-  size_t MemoryBytes() const { return tree_.capacity() * sizeof(uint32_t); }
-
- private:
-  std::vector<uint32_t> tree_;
-  size_t size_ = 0;
-};
-
 class ActiveRankTree;
+
+// 0/1 activity per position: uint32 cells, exact uint64 counts, and
+// SearchPrefix(k) as k-th-active-position selection.
+using ActivityCounts = Fenwick<uint32_t, uint64_t>;
 
 // RangeSampler view over an ActiveRankTree's global position space:
 // positions [a, b] are slots of the blocked layout, weights are the live
@@ -143,10 +88,10 @@ class ActiveSetSampler final : public RangeSampler {
  private:
   friend class ActiveRankTree;
   ActiveSetSampler(std::span<const double> slot_keys,
-                   const CountFenwick* fenwick)
+                   const ActivityCounts* fenwick)
       : RangeSampler(slot_keys), fenwick_(fenwick) {}
 
-  const CountFenwick* fenwick_;  // owned by the ActiveRankTree
+  const ActivityCounts* fenwick_;  // owned by the ActiveRankTree
 };
 
 class ActiveRankTree {
@@ -165,7 +110,7 @@ class ActiveRankTree {
   // copies live; ids must alternate Activate/Deactivate.
   void Activate(uint32_t id);
   void Deactivate(uint32_t id);
-  uint64_t active_total() const { return fenwick_.Total(); }
+  uint64_t active_total() const { return fenwick_.TotalSum(); }
 
   // |K_e| over the current active set (phase-1 weights).
   uint64_t CountActive(double ylo_max, double yhi_min) const;
@@ -225,15 +170,15 @@ class ActiveRankTree {
   std::vector<uint32_t> ids_by_slot_;  // global space: element ids
   std::vector<double> yhi_by_slot_;    // global space: y_hi values (run search)
   std::vector<uint32_t> slot_of_;      // [ylo_pos * levels_ + level] -> slot
-  CountFenwick fenwick_;
+  ActivityCounts fenwick_;
   std::vector<double> slot_keys_;      // iota keys for the RangeSampler base
   std::unique_ptr<ActiveSetSampler> sampler_;
   // The O(log m) counting side: activity per endpoint rank order, for the
   // complement-trick CountActive (see header comment).
   std::vector<double> yhi_by_rank_;    // yhi-order y_hi values (rank search)
   std::vector<uint32_t> yhi_pos_of_id_;
-  CountFenwick ylo_count_;             // activity over ylo ranks
-  CountFenwick yhi_count_;             // activity over yhi ranks
+  ActivityCounts ylo_count_;           // activity over ylo ranks
+  ActivityCounts yhi_count_;           // activity over yhi ranks
 };
 
 }  // namespace iqs::join

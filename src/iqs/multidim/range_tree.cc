@@ -1,14 +1,13 @@
 #include "iqs/multidim/range_tree.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <optional>
 
 #include "iqs/cover/cover_enumeration.h"
-#include "iqs/cover/cover_executor.h"
 #include "iqs/sampling/multinomial.h"
 #include "iqs/util/check.h"
-#include "iqs/util/telemetry.h"
 
 namespace iqs::multidim {
 
@@ -18,6 +17,8 @@ RangeTree2DSampler::RangeTree2DSampler(std::span<const Point2> points,
     : leaf_size_(std::max<size_t>(leaf_size, 1)) {
   IQS_CHECK(!points.empty());
   const size_t n = points.size();
+  IQS_CHECK(n <= UINT32_MAX);  // ids and y-runs are uint32_t
+  IQS_CHECK(weights.empty() || weights.size() == n);
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
@@ -30,7 +31,7 @@ RangeTree2DSampler::RangeTree2DSampler(std::span<const Point2> points,
     points_by_x_[i] = points[order[i]];
     weights_by_x_[i] = weights.empty() ? 1.0 : weights[order[i]];
     // iqs-lint: allow(check-in-loop) -- cold build-path input validation
-    IQS_CHECK(weights_by_x_[i] > 0.0);
+    IQS_CHECK(std::isfinite(weights_by_x_[i]) && weights_by_x_[i] > 0.0);
   }
   nodes_.reserve(4 * (n / leaf_size_ + 2));
   const uint32_t root = Build(0, n - 1);
@@ -237,147 +238,29 @@ void RangeTree2DSampler::QueryBatch(std::span<const RectBatchQuery> queries,
                                     Rng* rng, ScratchArena* arena,
                                     const BatchOptions& opts,
                                     PointBatchResult* result) const {
-  const uint64_t start_ns = opts.telemetry != nullptr ? TelemetryNowNs() : 0;
-  // One batch latency sample regardless of which exit path is taken.
-  auto record_latency = [&] {
-    if (opts.telemetry != nullptr) {
-      opts.telemetry->shard(0)->latency.Record(TelemetryNowNs() - start_ns);
-    }
-  };
-  result->Clear();
-  arena->Reset();
-  thread_local CoverPlan plan;
-  thread_local std::vector<Piece> pieces;
-  thread_local std::vector<size_t> positions;
-  plan.Clear();
-  pieces.clear();
-  const size_t nq = queries.size();
-  result->resolved.resize(nq);
-  result->offsets.resize(nq + 1);
   // Parallel mode enumerates the covers on the pool too (the descent is
   // most of a batch at small s); the plan is the same either way.
   std::optional<ScopedPool> scoped_pool;
   if (!opts.sequential()) scoped_pool.emplace(opts);
-  ThreadPool* const pool = scoped_pool ? scoped_pool->get() : nullptr;
-  const size_t total_samples = EnumerateCovers(
-      queries, pool,
+  ServePieceBatch<Piece>(
+      queries, scoped_pool ? scoped_pool->get() : nullptr,
       [this](const RectBatchQuery& query, std::vector<Piece>* out) {
         EnumeratePieces(query.rect, out);
       },
-      arena, &pieces, &plan, result->resolved, result->offsets);
-
-  const CoverSplit split = CoverExecutor::Split(plan, rng, arena,
-                                                opts.telemetry);
-  IQS_CHECK(split.total == total_samples);
-  result->points.resize(total_samples);
-  if (opts.telemetry != nullptr) {
-    // Manual-serve path: this QueryBatch owns its draw loops, so it owns
-    // samples_emitted and the arena high-water mark (telemetry.h).
-    QueryStats* stats = &opts.telemetry->shard(0)->stats;
-    stats->samples_emitted += split.total;
-    if (arena->capacity_bytes() > stats->arena_bytes_hwm) {
-      stats->arena_bytes_hwm = arena->capacity_bytes();
-    }
-  }
-  if (total_samples == 0) {
-    record_latency();
-    return;
-  }
-
-  // Coalesce nonzero groups by their secondary node so every piece that
-  // hits the same node's y-structure — across all queries of the batch —
-  // rides one chunked QueryPositionsBatch call. Each group's draws land
-  // at split.offsets[g] of the flat output, which keeps every query's
-  // slice contiguous regardless of the serving order.
-  //
-  // `pieces`/`plan` are thread_local, so lambdas that may run on pool
-  // workers must go through these caller-bound views — a bare `pieces`
-  // inside the lambda would resolve to the worker's own (empty) instance.
-  const std::span<const Piece> batch_pieces(pieces);
-  const std::span<const CoverGroup> groups = plan.groups();
-  const std::span<uint32_t> order = arena->Alloc<uint32_t>(groups.size());
-  size_t active = 0;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (split.counts[g] > 0) order[active++] = static_cast<uint32_t>(g);
-  }
-  std::sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(active),
-            [&](uint32_t ga, uint32_t gb) {
-              const uint32_t na = batch_pieces[groups[ga].tag].node;
-              const uint32_t nb = batch_pieces[groups[gb].tag].node;
-              return na != nb ? na < nb : ga < gb;
-            });
-
-  // Run boundaries over the sorted order: one run per secondary node.
-  const std::span<size_t> run_start = arena->Alloc<size_t>(active + 1);
-  size_t num_runs = 0;
-  for (size_t k = 0; k < active;) {
-    run_start[num_runs++] = k;
-    const uint32_t node_id = batch_pieces[groups[order[k]].tag].node;
-    while (k < active && batch_pieces[groups[order[k]].tag].node == node_id) {
-      ++k;
-    }
-  }
-  run_start[num_runs] = active;
-
-  // Serves run r (groups order[run_start[r] .. run_start[r+1])) with the
-  // given rng/scratch/staging buffer. Each group's draws land at
-  // split.offsets[g] of the flat output, so runs write disjoint slices.
-  auto serve_run = [&](size_t r, Rng* run_rng, ScratchArena* scratch,
-                       std::vector<size_t>* staged) {
-    const size_t rs = run_start[r];
-    const size_t re = run_start[r + 1];
-    const Node& node = nodes_[batch_pieces[groups[order[rs]].tag].node];
-    const std::span<PositionQuery> requests =
-        scratch->Alloc<PositionQuery>(re - rs);
-    size_t m = 0;
-    for (size_t k = rs; k < re; ++k) {
-      const Piece& piece = batch_pieces[groups[order[k]].tag];
-      requests[m++] = PositionQuery{
-          piece.lo, piece.hi, static_cast<size_t>(split.counts[order[k]])};
-    }
-    staged->clear();
-    node.sampler->QueryPositionsBatch(requests.first(m), run_rng, scratch,
-                                      staged);
-    // QueryPositionsBatch appends each request's draws contiguously in
-    // order; scatter them back to the groups' flat slices.
-    size_t cursor = 0;
-    for (size_t k = rs; k < re; ++k) {
-      const uint32_t g = order[k];
-      const size_t dst = split.offsets[g];
-      for (uint32_t d = 0; d < split.counts[g]; ++d) {
-        const size_t y_pos = (*staged)[cursor++];
-        result->points[dst + d] = points_by_x_[node.ids_by_y[y_pos]];
-      }
-    }
-    IQS_DCHECK(cursor == staged->size());
-  };
-
-  if (opts.sequential()) {
-    for (size_t r = 0; r < num_runs; ++r) {
-      serve_run(r, rng, arena, &positions);
-    }
-    record_latency();
-    return;
-  }
-
-  // Parallel mode: runs are the shardable unit, each under its own
-  // substream — the run composition depends only on the (sequential)
-  // split above, so output is bit-identical for every thread count.
-  const Rng base(rng->Next64());
-  if (opts.telemetry != nullptr) {
-    ++opts.telemetry->shard(0)->stats.rng_draws;  // the batch key
-  }
-  ParallelForShards(
-      pool, num_runs, [&](size_t first, size_t last, size_t worker) {
-        ScratchArena* wa = pool->worker_arena(worker);
-        thread_local std::vector<size_t> staged;
-        for (size_t r = first; r < last; ++r) {
-          Rng run_rng = base.ForkStream(r);
-          wa->Reset();
-          serve_run(r, &run_rng, wa, &staged);
+      // One run per secondary node: every piece in the node's y-structure,
+      // across all queries, rides one chunked batched call.
+      [this](const Piece& piece) {
+        return PieceRun<ChunkedRangeSampler>{piece.node,
+                                             nodes_[piece.node].sampler.get()};
+      },
+      [this](const Piece& piece, std::span<const size_t> y_positions,
+             std::span<Point2> dst) {
+        const std::vector<uint32_t>& ids = nodes_[piece.node].ids_by_y;
+        for (size_t d = 0; d < dst.size(); ++d) {
+          dst[d] = points_by_x_[ids[y_positions[d]]];
         }
-      });
-  record_latency();
+      },
+      rng, arena, opts, &result->resolved, &result->offsets, &result->points);
 }
 
 void RangeTree2DSampler::Report(const Rect& q, std::vector<size_t>* out) const {

@@ -36,7 +36,8 @@ namespace iqs::multidim {
 
 class RangeTree2DSampler {
  public:
-  // `weights` parallel to `points`; {} for unit weights. Build
+  // `weights` parallel to `points`, finite and positive; {} for unit
+  // weights. At most 2^32 - 1 points (all checked). Build
   // O(n log² n) time, O(n log n) space. `leaf_size` caps primary-leaf
   // width (larger leaves trade query constants for space).
   RangeTree2DSampler(std::span<const Point2> points,

@@ -1,14 +1,13 @@
 #include "iqs/multidim/range_tree_nd.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <optional>
 
 #include "iqs/cover/cover_enumeration.h"
-#include "iqs/cover/cover_executor.h"
 #include "iqs/sampling/multinomial.h"
 #include "iqs/util/check.h"
-#include "iqs/util/telemetry.h"
 
 namespace iqs::multidim {
 
@@ -23,13 +22,14 @@ RangeTreeNdSampler::RangeTreeNdSampler(size_t dim,
   IQS_CHECK(!coords_.empty());
   IQS_CHECK(coords_.size() % dim_ == 0);
   const size_t n = coords_.size() / dim_;
+  IQS_CHECK(n <= UINT32_MAX);  // ids and runs are uint32_t
   if (weights.empty()) {
     weights_.assign(n, 1.0);
   } else {
     IQS_CHECK(weights.size() == n);
     weights_.assign(weights.begin(), weights.end());
     // iqs-lint: allow(check-in-loop) -- cold build-path input validation
-    for (double w : weights_) IQS_CHECK(w > 0.0);
+    for (double w : weights_) IQS_CHECK(std::isfinite(w) && w > 0.0);
   }
   std::vector<uint32_t> ids(n);
   std::iota(ids.begin(), ids.end(), 0);
@@ -216,158 +216,36 @@ void RangeTreeNdSampler::QueryBatch(std::span<const BoxBatchQuery> queries,
                                     Rng* rng, ScratchArena* arena,
                                     const BatchOptions& opts,
                                     BatchResult* result) const {
-  const uint64_t start_ns = opts.telemetry != nullptr ? TelemetryNowNs() : 0;
-  auto record_latency = [&] {
-    if (opts.telemetry != nullptr) {
-      opts.telemetry->shard(0)->latency.Record(TelemetryNowNs() - start_ns);
-    }
-  };
-  result->Clear();
-  arena->Reset();
-  thread_local CoverPlan plan;
-  thread_local std::vector<Piece> pieces;
-  thread_local std::vector<size_t> positions;
-  plan.Clear();
-  pieces.clear();
-  const size_t nq = queries.size();
-  result->resolved.resize(nq);
-  result->offsets.resize(nq + 1);
   // Parallel mode enumerates the covers on the pool too (see
-  // RangeTree2DSampler::QueryBatch). Singleton pieces carry the point id
-  // in lo == hi; the split stage never reads the range.
+  // RangeTree2DSampler::QueryBatch).
   std::optional<ScopedPool> scoped_pool;
   if (!opts.sequential()) scoped_pool.emplace(opts);
-  ThreadPool* const pool = scoped_pool ? scoped_pool->get() : nullptr;
-  const size_t total_samples = EnumerateCovers(
-      queries, pool,
+  ServePieceBatch<Piece>(
+      queries, scoped_pool ? scoped_pool->get() : nullptr,
       [this](const BoxBatchQuery& query, std::vector<Piece>* out) {
         IQS_DCHECK(query.box.dim() == dim_);
         CollectPieces(*root_, query.box, out);
       },
-      arena, &pieces, &plan, result->resolved, result->offsets);
-
-  const CoverSplit split = CoverExecutor::Split(plan, rng, arena,
-                                                opts.telemetry);
-  IQS_CHECK(split.total == total_samples);
-  result->positions.assign(total_samples, 0);
-  if (opts.telemetry != nullptr) {
-    // This path serves draws manually (not via CoverExecutor::Execute), so
-    // it owns the samples_emitted / arena high-water accounting.
-    QueryStats* stats = &opts.telemetry->shard(0)->stats;
-    stats->samples_emitted += split.total;
-    if (arena->capacity_bytes() > stats->arena_bytes_hwm) {
-      stats->arena_bytes_hwm = arena->capacity_bytes();
-    }
-  }
-  if (total_samples == 0) {
-    record_latency();
-    return;
-  }
-
-  // Serve singleton groups directly; coalesce the rest by final-level
-  // structure so shared leaf samplers get one batched call each.
-  //
-  // `pieces`/`plan` are thread_local, so lambdas that may run on pool
-  // workers must go through these caller-bound views — a bare `pieces`
-  // inside the lambda would resolve to the worker's own (empty) instance.
-  const std::span<const Piece> batch_pieces(pieces);
-  const std::span<const CoverGroup> groups = plan.groups();
-  const std::span<uint32_t> order = arena->Alloc<uint32_t>(groups.size());
-  size_t active = 0;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (split.counts[g] == 0) continue;
-    const Piece& piece = batch_pieces[groups[g].tag];
-    if (piece.leaf_structure == nullptr) {
-      const size_t dst = split.offsets[g];
-      for (uint32_t d = 0; d < split.counts[g]; ++d) {
-        result->positions[dst + d] = piece.lo;
-      }
-      continue;
-    }
-    order[active++] = static_cast<uint32_t>(g);
-  }
-  // Runs are ordered by the structures' build ordinals, never by their
-  // addresses: run r draws from ForkStream(r) (and sequential mode walks
-  // runs in this order), so the order must not depend on heap layout.
-  std::sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(active),
-            [&](uint32_t ga, uint32_t gb) {
-              const uint32_t sa =
-                  batch_pieces[groups[ga].tag].leaf_structure->ordinal;
-              const uint32_t sb =
-                  batch_pieces[groups[gb].tag].leaf_structure->ordinal;
-              return sa != sb ? sa < sb : ga < gb;
-            });
-
-  // Run boundaries over the sorted order: one run per leaf structure.
-  const std::span<size_t> run_start = arena->Alloc<size_t>(active + 1);
-  size_t num_runs = 0;
-  for (size_t k = 0; k < active;) {
-    run_start[num_runs++] = k;
-    const LevelStructure* structure =
-        batch_pieces[groups[order[k]].tag].leaf_structure;
-    while (k < active &&
-           batch_pieces[groups[order[k]].tag].leaf_structure == structure) {
-      ++k;
-    }
-  }
-  run_start[num_runs] = active;
-
-  // Serves run r with the given rng/scratch/staging buffer; runs write
-  // disjoint slices of the flat output.
-  auto serve_run = [&](size_t r, Rng* run_rng, ScratchArena* scratch,
-                       std::vector<size_t>* staged) {
-    const size_t rs = run_start[r];
-    const size_t re = run_start[r + 1];
-    const LevelStructure* structure =
-        batch_pieces[groups[order[rs]].tag].leaf_structure;
-    const std::span<PositionQuery> requests =
-        scratch->Alloc<PositionQuery>(re - rs);
-    size_t m = 0;
-    for (size_t k = rs; k < re; ++k) {
-      const Piece& piece = batch_pieces[groups[order[k]].tag];
-      requests[m++] = PositionQuery{
-          piece.lo, piece.hi, static_cast<size_t>(split.counts[order[k]])};
-    }
-    staged->clear();
-    structure->sampler->QueryPositionsBatch(requests.first(m), run_rng,
-                                            scratch, staged);
-    size_t cursor = 0;
-    for (size_t k = rs; k < re; ++k) {
-      const uint32_t g = order[k];
-      const size_t dst = split.offsets[g];
-      for (uint32_t d = 0; d < split.counts[g]; ++d) {
-        result->positions[dst + d] =
-            structure->ids_sorted[(*staged)[cursor++]];
-      }
-    }
-    IQS_DCHECK(cursor == staged->size());
-  };
-
-  if (opts.sequential()) {
-    for (size_t r = 0; r < num_runs; ++r) {
-      serve_run(r, rng, arena, &positions);
-    }
-    record_latency();
-    return;
-  }
-
-  // Parallel mode: runs are the shardable unit, each under its own
-  // substream (see RangeTree2DSampler::QueryBatch).
-  const Rng base(rng->Next64());
-  if (opts.telemetry != nullptr) {
-    ++opts.telemetry->shard(0)->stats.rng_draws;  // the batch key
-  }
-  ParallelForShards(
-      pool, num_runs, [&](size_t first, size_t last, size_t worker) {
-        ScratchArena* wa = pool->worker_arena(worker);
-        thread_local std::vector<size_t> staged;
-        for (size_t r = first; r < last; ++r) {
-          Rng run_rng = base.ForkStream(r);
-          wa->Reset();
-          serve_run(r, &run_rng, wa, &staged);
+      // One run per final-level structure, keyed by its build ordinal
+      // (never its address, so the run order is independent of heap
+      // layout). Singleton pieces need no draw.
+      [](const Piece& piece) {
+        const LevelStructure* structure = piece.leaf_structure;
+        if (structure == nullptr) return PieceRun<ChunkedRangeSampler>{};
+        return PieceRun<ChunkedRangeSampler>{structure->ordinal,
+                                             structure->sampler.get()};
+      },
+      [](const Piece& piece, std::span<const size_t> positions,
+         std::span<size_t> dst) {
+        if (piece.leaf_structure == nullptr) {
+          std::fill(dst.begin(), dst.end(), piece.lo);  // the point id
+          return;
         }
-      });
-  record_latency();
+        const std::vector<uint32_t>& ids = piece.leaf_structure->ids_sorted;
+        for (size_t d = 0; d < dst.size(); ++d) dst[d] = ids[positions[d]];
+      },
+      rng, arena, opts, &result->resolved, &result->offsets,
+      &result->positions);
 }
 
 void RangeTreeNdSampler::Report(const BoxNd& q,

@@ -35,8 +35,9 @@ namespace iqs::multidim {
 
 class RangeTreeNdSampler {
  public:
-  // `coords`: n*dim doubles, row-major. `weights` parallel ({} -> unit).
-  // `leaf_size` caps tree-leaf width on every non-final level.
+  // `coords`: n*dim doubles, row-major, n < 2^32. `weights` parallel,
+  // finite and positive ({} -> unit); all checked. `leaf_size` caps
+  // tree-leaf width on every non-final level.
   RangeTreeNdSampler(size_t dim, std::span<const double> coords,
                      std::span<const double> weights, size_t leaf_size = 8);
 

@@ -1,8 +1,8 @@
 #include "iqs/range/logarithmic_range_sampler.h"
 
-#include <algorithm>
+#include <cmath>
 
-#include "iqs/cover/cover_executor.h"
+#include "iqs/cover/cover_enumeration.h"
 #include "iqs/sampling/multinomial.h"
 #include "iqs/util/check.h"
 #include "iqs/util/telemetry.h"
@@ -36,7 +36,8 @@ void LogarithmicRangeSampler::Finalize(Component* component,
 }
 
 void LogarithmicRangeSampler::Insert(double key, double weight) {
-  IQS_CHECK(weight > 0.0);
+  IQS_CHECK(std::isfinite(key));
+  IQS_CHECK(std::isfinite(weight) && weight > 0.0);
   MutexLock lock(&writer_mu_);
   const uint64_t start_ns = sink_ != nullptr ? TelemetryNowNs() : 0;
 
@@ -169,133 +170,53 @@ void LogarithmicRangeSampler::QueryBatch(std::span<const KeyBatchQuery> queries,
                                          Rng* rng, ScratchArena* arena,
                                          const BatchOptions& opts,
                                          KeyBatchResult* result) const {
-  const uint64_t start_ns = opts.telemetry != nullptr ? TelemetryNowNs() : 0;
-  auto record_latency = [&] {
-    if (opts.telemetry != nullptr) {
-      opts.telemetry->shard(0)->latency.Record(TelemetryNowNs() - start_ns);
-    }
-  };
   // One snapshot serves the whole batch: every query of the batch sees
   // the same component set no matter how many versions a concurrent
   // inserter publishes meanwhile.
   const Snapshot<Version> snap = versions_.Acquire();
-  result->Clear();
-  arena->Reset();
+  // Positions [lo, hi] of one component.
   struct Part {
     const Component* component;
-    size_t level;  // index in Version::components — the coalescing key
-    size_t a;
-    size_t b;
+    uint32_t level;  // index in Version::components
+    size_t lo;
+    size_t hi;
+    double weight;
   };
-  thread_local CoverPlan plan;
-  thread_local std::vector<Part> parts;
-  thread_local std::vector<size_t> positions;
-  plan.Clear();
-  parts.clear();
-  const size_t nq = queries.size();
-  result->resolved.resize(nq);
-  result->offsets.resize(nq + 1);
-  size_t total_samples = 0;
-  for (size_t i = 0; i < nq; ++i) {
-    result->offsets[i] = total_samples;
-    plan.BeginQuery(queries[i].s);
-    if (queries[i].lo > queries[i].hi || snap->size == 0) {
-      result->resolved[i] = 0;
-      continue;
-    }
-    const size_t part_base = parts.size();
-    for (size_t level = 0; level < snap->components.size(); ++level) {
-      const Component* component = snap->components[level];
-      if (component == nullptr) continue;
-      size_t a = 0;
-      size_t b = 0;
-      if (!component->sampler->ResolveInterval(queries[i].lo, queries[i].hi,
-                                               &a, &b)) {
-        continue;
-      }
-      parts.push_back({component, level, a, b});
-    }
-    const bool ok = parts.size() > part_base;
-    result->resolved[i] = ok ? 1 : 0;
-    if (!ok || queries[i].s == 0) continue;
-    for (size_t j = part_base; j < parts.size(); ++j) {
-      const Part& part = parts[j];
-      plan.AddGroup(part.a, part.b,
-                    part.component->weight_prefix[part.b + 1] -
-                        part.component->weight_prefix[part.a],
-                    j);
-    }
-    total_samples += queries[i].s;
-  }
-  result->offsets[nq] = total_samples;
-
-  const CoverSplit split = CoverExecutor::Split(plan, rng, arena,
-                                                opts.telemetry);
-  IQS_CHECK(split.total == total_samples);
-  result->keys.resize(total_samples);
-  if (opts.telemetry != nullptr) {
-    // Manual serve below: this function owns samples_emitted / arena hwm.
-    QueryStats* stats = &opts.telemetry->shard(0)->stats;
-    stats->samples_emitted += split.total;
-    if (arena->capacity_bytes() > stats->arena_bytes_hwm) {
-      stats->arena_bytes_hwm = arena->capacity_bytes();
-    }
-  }
-  if (total_samples == 0) {
-    record_latency();
-    return;
-  }
-
-  // Coalesce nonzero groups by component: every query's draws into the
-  // same Bentley-Saxe component share one chunked batched call, then
-  // scatter back to each group's flat slice.
-  const std::span<const CoverGroup> groups = plan.groups();
-  const std::span<uint32_t> order = arena->Alloc<uint32_t>(groups.size());
-  size_t active = 0;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (split.counts[g] > 0) order[active++] = static_cast<uint32_t>(g);
-  }
-  // Deterministic coalescing key: the component's Bentley-Saxe level, the
-  // same ascending order the single-query path serves in. (Sorting by
-  // component POINTER would also coalesce, but heap addresses make the
-  // rng consumption order — and so the emitted byte stream — depend on
-  // allocator history; level order keeps fixed-seed batches reproducible
-  // across builds and across publish/reclaim cycles.)
-  std::sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(active),
-            [&](uint32_t ga, uint32_t gb) {
-              const size_t la = parts[groups[ga].tag].level;
-              const size_t lb = parts[groups[gb].tag].level;
-              return la != lb ? la < lb : ga < gb;
-            });
-
-  const std::span<PositionQuery> requests =
-      arena->Alloc<PositionQuery>(active);
-  for (size_t run = 0; run < active;) {
-    const Component* component = parts[groups[order[run]].tag].component;
-    size_t run_end = run;
-    size_t m = 0;
-    while (run_end < active &&
-           parts[groups[order[run_end]].tag].component == component) {
-      const Part& part = parts[groups[order[run_end]].tag];
-      requests[m++] = PositionQuery{
-          part.a, part.b, static_cast<size_t>(split.counts[order[run_end]])};
-      ++run_end;
-    }
-    positions.clear();
-    component->sampler->QueryPositionsBatch(requests.first(m), rng, arena,
-                                            &positions);
-    size_t cursor = 0;
-    for (size_t k = run; k < run_end; ++k) {
-      const uint32_t g = order[k];
-      const size_t dst = split.offsets[g];
-      for (uint32_t d = 0; d < split.counts[g]; ++d) {
-        result->keys[dst + d] = component->keys[positions[cursor++]];
-      }
-    }
-    IQS_DCHECK(cursor == positions.size());
-    run = run_end;
-  }
-  record_latency();
+  // No pool: the batch is served sequentially in every mode.
+  ServePieceBatch<Part>(
+      queries, /*pool=*/nullptr,
+      [&snap](const KeyBatchQuery& query, std::vector<Part>* out) {
+        if (query.lo > query.hi) return;
+        for (size_t level = 0; level < snap->components.size(); ++level) {
+          const Component* component = snap->components[level];
+          if (component == nullptr) continue;
+          size_t a = 0;
+          size_t b = 0;
+          if (!component->sampler->ResolveInterval(query.lo, query.hi, &a,
+                                                   &b)) {
+            continue;
+          }
+          out->push_back({component, static_cast<uint32_t>(level), a, b,
+                          component->weight_prefix[b + 1] -
+                              component->weight_prefix[a]});
+        }
+      },
+      // One run per component, keyed by its Bentley-Saxe level: the same
+      // ascending order the single-query path serves in, and (unlike the
+      // component's address) independent of allocator history, so
+      // fixed-seed batches stay reproducible across publish/reclaim
+      // cycles.
+      [](const Part& part) {
+        return PieceRun<ChunkedRangeSampler>{part.level,
+                                             part.component->sampler.get()};
+      },
+      [](const Part& part, std::span<const size_t> positions,
+         std::span<double> dst) {
+        for (size_t d = 0; d < dst.size(); ++d) {
+          dst[d] = part.component->keys[positions[d]];
+        }
+      },
+      rng, arena, opts, &result->resolved, &result->offsets, &result->keys);
 }
 
 double LogarithmicRangeSampler::RangeWeight(double lo, double hi) const {

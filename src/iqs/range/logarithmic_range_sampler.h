@@ -105,8 +105,9 @@ class LogarithmicRangeSampler {
   // — reader-side batches recording into the same sink would race.
   void set_telemetry(TelemetrySink* sink) { sink_ = sink; }
 
-  // Inserts an element; keys must be globally distinct (checked during
-  // merges). Amortized O(log n) element-moves per insert. Publishes a new
+  // Inserts an element. The key must be finite and the weight finite and
+  // positive (both checked); keys must be globally distinct (checked
+  // during merges in debug builds). Amortized O(log n) element-moves per insert. Publishes a new
   // immutable version; in-flight readers keep serving the old one.
   void Insert(double key, double weight);
 
@@ -121,8 +122,9 @@ class LogarithmicRangeSampler {
   // multinomial splits, and draws are coalesced BY COMPONENT so all
   // queries' draws into one Bentley-Saxe component ride a single chunked
   // batched call. The ENTIRE batch executes against one pinned snapshot,
-  // so concurrent inserts never skew a batch's law mid-flight. Canonical
-  // order (queries, rng, arena, opts, &result).
+  // so concurrent inserts never skew a batch's law mid-flight. Serves
+  // sequentially in every mode: opts.num_threads and opts.pool are
+  // ignored. Canonical order (queries, rng, arena, opts, &result).
   void QueryBatch(std::span<const KeyBatchQuery> queries, Rng* rng,
                   ScratchArena* arena, const BatchOptions& opts,
                   KeyBatchResult* result) const;

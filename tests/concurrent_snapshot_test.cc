@@ -32,6 +32,38 @@ namespace {
 // captured from the pre-epoch build.
 using testing::Fnv;
 
+// The level-order QueryBatch stream of the golden sampler below.
+constexpr uint64_t kLogarithmicGoldenBatchHash = 0x5b5e768ce6ed4c20ULL;
+
+void InsertGoldenKeys(LogarithmicRangeSampler* sampler) {
+  Rng ins(42);
+  for (int i = 0; i < 700; ++i) {
+    sampler->Insert(ins.NextDouble(), 0.5 + ins.NextDouble());
+  }
+}
+
+// Hashes five 64-query batches (keys, offsets and resolved flags).
+uint64_t GoldenBatchHash(const LogarithmicRangeSampler& sampler,
+                         const BatchOptions& opts) {
+  Fnv fnv;
+  ScratchArena arena;
+  KeyBatchResult result;
+  Rng brng(11);
+  std::vector<KeyBatchQuery> queries;
+  for (int i = 0; i < 64; ++i) {
+    const double lo = brng.NextDouble() * 0.8;
+    const double hi = lo + brng.NextDouble() * 0.2;
+    queries.push_back({lo, hi, static_cast<size_t>(brng.Below(50))});
+  }
+  for (int rep = 0; rep < 5; ++rep) {
+    sampler.QueryBatch(queries, &brng, &arena, opts, &result);
+    for (double key : result.keys) fnv.F64(key);
+    for (size_t offset : result.offsets) fnv.U64(offset);
+    for (uint8_t flag : result.resolved) fnv.U64(flag);
+  }
+  return fnv.h;
+}
+
 TEST(ConcurrentSnapshotTest, LogarithmicGoldenBytesUnchangedSingleThreaded) {
   // The acceptance pin: with no concurrent writer, the refactored sampler
   // must produce byte-for-byte the pre-refactor sample stream. The
@@ -40,10 +72,7 @@ TEST(ConcurrentSnapshotTest, LogarithmicGoldenBytesUnchangedSingleThreaded) {
   // deterministic level-order) batched stream so future changes can't
   // silently reshuffle it.
   LogarithmicRangeSampler sampler;
-  Rng ins(42);
-  for (int i = 0; i < 700; ++i) {
-    sampler.Insert(ins.NextDouble(), 0.5 + ins.NextDouble());
-  }
+  InsertGoldenKeys(&sampler);
   Fnv fnv;
   Rng qrng(7);
   std::vector<double> out;
@@ -60,23 +89,21 @@ TEST(ConcurrentSnapshotTest, LogarithmicGoldenBytesUnchangedSingleThreaded) {
   fnv.U64(sampler.num_components());
   EXPECT_EQ(fnv.h, 0xa5887ea450dedc20ULL);  // pre-epoch weights/meta
 
-  Fnv batch_fnv;
-  ScratchArena arena;
-  KeyBatchResult result;
-  Rng brng(11);
-  std::vector<KeyBatchQuery> queries;
-  for (int i = 0; i < 64; ++i) {
-    const double lo = brng.NextDouble() * 0.8;
-    queries.push_back(
-        {lo, lo + brng.NextDouble() * 0.2, static_cast<size_t>(brng.Below(50))});
-  }
-  for (int rep = 0; rep < 5; ++rep) {
-    sampler.QueryBatch(queries, &brng, &arena, &result);
-    for (double key : result.keys) batch_fnv.F64(key);
-    for (size_t offset : result.offsets) batch_fnv.U64(offset);
-    for (uint8_t flag : result.resolved) batch_fnv.U64(flag);
-  }
-  EXPECT_EQ(batch_fnv.h, 0x5b5e768ce6ed4c20ULL);  // level-order batch stream
+  EXPECT_EQ(GoldenBatchHash(sampler, BatchOptions{}),
+            kLogarithmicGoldenBatchHash);
+}
+
+TEST(ConcurrentSnapshotTest, LogarithmicBatchStaysSequentialInParallelMode) {
+  // The logarithmic sampler serves every batch sequentially: parallel
+  // options must neither fork substreams nor draw a batch key, so the
+  // stream is the sequential golden byte for byte.
+  LogarithmicRangeSampler sampler;
+  InsertGoldenKeys(&sampler);
+  ThreadPool pool(4);
+  BatchOptions opts;
+  opts.num_threads = 4;
+  opts.pool = &pool;
+  EXPECT_EQ(GoldenBatchHash(sampler, opts), kLogarithmicGoldenBatchHash);
 }
 
 TEST(ConcurrentSnapshotTest, AliasGoldenBytesUnchangedSingleThreaded) {

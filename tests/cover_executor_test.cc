@@ -105,9 +105,14 @@ TEST(CoverExecutorTest, ExecuteOverSamplerMatchesCoverLaw) {
 
   CoverPlan plan;
   plan.BeginQuery(48);
-  plan.AddGroup(0, 9, std::accumulate(&weights[0], &weights[10], 0.0));
-  plan.AddGroup(20, 29, std::accumulate(&weights[20], &weights[30], 0.0));
-  plan.AddGroup(50, 59, std::accumulate(&weights[50], &weights[60], 0.0));
+  // Sum over positions [lo, hi] through pointers, so the end bound never
+  // indexes past the vector.
+  auto range_weight = [&](size_t lo, size_t hi) {
+    return std::accumulate(weights.data() + lo, weights.data() + hi + 1, 0.0);
+  };
+  plan.AddGroup(0, 9, range_weight(0, 9));
+  plan.AddGroup(20, 29, range_weight(20, 29));
+  plan.AddGroup(50, 59, range_weight(50, 59));
 
   Rng rng(13);
   ScratchArena arena;

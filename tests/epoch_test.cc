@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -147,15 +148,24 @@ TEST(EpochManagerTest, ReclaimRunsDeletersOnThePool) {
 TEST(VersionedTest, ConcurrentReadersNeverObserveTornPayloads) {
   // 2 reader threads validating the redundancy invariant while the main
   // thread publishes 400 versions. Run under TSan in CI (sanitizers.yml);
-  // the invariant also catches use-after-reclaim in normal runs.
+  // the invariant also catches use-after-reclaim in normal runs. The
+  // publisher starts only once every reader has pinned a snapshot, so the
+  // reads always overlap the publishes.
+  constexpr int kReaders = 2;
   Versioned<Payload> versioned(std::make_unique<const Payload>(0));
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
+  std::latch readers_pinned(kReaders);
   std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      bool first = true;
       while (!stop.load(std::memory_order_acquire)) {
         const Snapshot<Payload> snap = versioned.Acquire();
+        if (first) {
+          readers_pinned.count_down();
+          first = false;
+        }
         ASSERT_TRUE(snap);
         const uint64_t value = snap->value;
         const uint64_t check = snap->check;
@@ -164,6 +174,7 @@ TEST(VersionedTest, ConcurrentReadersNeverObserveTornPayloads) {
       }
     });
   }
+  readers_pinned.wait();
   for (uint64_t v = 1; v <= 400; ++v) {
     versioned.Publish(std::make_unique<const Payload>(v));
     if (v % 16 == 0) std::this_thread::yield();

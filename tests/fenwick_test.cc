@@ -1,5 +1,7 @@
 #include "iqs/range/fenwick_tree.h"
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -80,6 +82,40 @@ TEST(FenwickTest, SearchPrefixRandomizedOracle) {
     }
     EXPECT_EQ(got, want) << "target " << target;
   }
+}
+
+TEST(FenwickTest, CountInstantiationSelectsKthUnit) {
+  // The join sweep's activity index: uint32 cells, uint64 sums, and
+  // SearchPrefix(k) as the position of the (k+1)-th unit. Decrements wrap
+  // modulo 2^32 in the cells.
+  Rng rng(6);
+  constexpr size_t kN = 77;
+  std::vector<uint32_t> counts(kN, 0);
+  Fenwick<uint32_t, uint64_t> tree(kN);
+  auto expect_matches_oracle = [&](const Fenwick<uint32_t, uint64_t>& t) {
+    uint64_t prefix = 0;
+    for (size_t pos = 0; pos < kN; ++pos) {
+      ASSERT_EQ(t.PrefixSum(pos), prefix);
+      for (uint32_t unit = 0; unit < counts[pos]; ++unit) {
+        ASSERT_EQ(t.SearchPrefix(prefix + unit), pos);
+      }
+      prefix += counts[pos];
+    }
+    ASSERT_EQ(t.TotalSum(), prefix);
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const size_t i = rng.Below(kN);
+    if (counts[i] > 0 && rng.Below(2) == 0) {
+      --counts[i];
+      tree.Add(i, ~uint32_t{0});
+    } else {
+      ++counts[i];
+      tree.Add(i, 1);
+    }
+    if (step % 100 == 99) expect_matches_oracle(tree);
+  }
+  expect_matches_oracle(
+      Fenwick<uint32_t, uint64_t>(std::span<const uint32_t>(counts)));
 }
 
 TEST(FenwickSamplerTest, MatchesWeights) {

@@ -1,6 +1,7 @@
 #include "iqs/range/logarithmic_range_sampler.h"
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -224,6 +225,27 @@ TEST(LogarithmicSamplerTest, BatchFlagsEmptyIntervalsAndEmptySampler) {
   EXPECT_EQ(result.SamplesFor(0).size(), 0u);
   EXPECT_EQ(result.SamplesFor(1).size(), 8u);
   EXPECT_EQ(result.SamplesFor(2).size(), 0u);
+}
+
+TEST(LogarithmicSamplerDeathTest, InsertRejectsNonFiniteOrNonPositiveWeight) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0}) {
+    LogarithmicRangeSampler sampler;
+    sampler.Insert(0.25, 1.0);
+    EXPECT_DEATH(sampler.Insert(0.5, bad), "isfinite\\(weight\\)") << bad;
+  }
+}
+
+TEST(LogarithmicSamplerDeathTest, InsertRejectsNonFiniteKey) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    LogarithmicRangeSampler sampler;
+    EXPECT_DEATH(sampler.Insert(bad, 1.0), "isfinite\\(key\\)") << bad;
+  }
 }
 
 }  // namespace

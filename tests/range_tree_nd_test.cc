@@ -1,5 +1,6 @@
 #include "iqs/multidim/range_tree_nd.h"
 
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -126,6 +127,17 @@ TEST(RangeTreeNdTest, AgreesWithKdTreeNdInLaw) {
   std::set<double> kd_support;
   for (size_t id : kd_out) kd_support.insert(signature(kd.tree().PointAt(id)));
   EXPECT_EQ(rt_support, kd_support);
+}
+
+TEST(RangeTreeNdDeathTest, RejectsNonFiniteOrNonPositiveWeights) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<double> coords = {0.1, 0.2, 0.3, 0.4};  // two 2-d points
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0}) {
+    const std::vector<double> weights = {bad, 1.0};
+    EXPECT_DEATH(RangeTreeNdSampler(2, coords, weights), "isfinite") << bad;
+  }
 }
 
 }  // namespace

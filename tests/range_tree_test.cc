@@ -1,5 +1,6 @@
 #include "iqs/multidim/range_tree.h"
 
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -117,6 +118,24 @@ TEST(RangeTreeTest, SinglePoint) {
   ASSERT_TRUE(sampler.QueryRect({0.0, 1.0, 0.0, 1.0}, 4, &rng, &out));
   ASSERT_EQ(out.size(), 4u);
   for (const Point2& p : out) EXPECT_EQ(p, pts[0]);
+}
+
+TEST(RangeTreeDeathTest, RejectsWeightsOfTheWrongLength) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<Point2> pts = {{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}};
+  const std::vector<double> weights = {1.0, 2.0};
+  EXPECT_DEATH(RangeTree2DSampler(pts, weights), "weights.size\\(\\) == n");
+}
+
+TEST(RangeTreeDeathTest, RejectsNonFiniteOrNonPositiveWeights) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<Point2> pts = {{0.1, 0.2}, {0.3, 0.4}};
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0}) {
+    const std::vector<double> weights = {1.0, bad};
+    EXPECT_DEATH(RangeTree2DSampler(pts, weights), "isfinite") << bad;
+  }
 }
 
 }  // namespace
