@@ -1,6 +1,7 @@
 #include "iqs/alias/alias_table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <span>
@@ -22,7 +23,9 @@ void AliasTable::Build(std::span<const double> weights) {
     IQS_CHECK(w >= 0.0);
     total_weight_ += w;
   }
-  IQS_CHECK(total_weight_ > 0.0);
+  // One check after the loop: an infinite weight, or finite weights whose
+  // sum overflows, leaves a non-finite total that would skew every urn.
+  IQS_CHECK(std::isfinite(total_weight_) && total_weight_ > 0.0);
 
   // Scaled weights: p_i = w_i * n / W, so the average is exactly 1 and each
   // urn receives total mass 1.

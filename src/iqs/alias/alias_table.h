@@ -28,7 +28,7 @@ class AliasTable {
   AliasTable() = default;
 
   // Builds the table over `weights`; equivalent to Build(weights).
-  // All weights must be nonnegative with a positive sum.
+  // All weights must be nonnegative with a finite, positive sum.
   explicit AliasTable(std::span<const double> weights) { Build(weights); }
 
   AliasTable(const AliasTable&) = default;

@@ -120,10 +120,13 @@ ActiveRankTree::ActiveRankTree(std::span<const multidim::Rect> rects,
   }
 
   fenwick_ = ActivityCounts(num_slots);
-  slot_keys_.resize(num_slots);
-  std::iota(slot_keys_.begin(), slot_keys_.end(), 0.0);
-  sampler_ = std::unique_ptr<ActiveSetSampler>(
-      new ActiveSetSampler(slot_keys_, &fenwick_));
+  {
+    // The RangeSampler base keeps its own copy of the iota slot keys.
+    std::vector<double> slot_keys(num_slots);
+    std::iota(slot_keys.begin(), slot_keys.end(), 0.0);
+    sampler_ = std::unique_ptr<ActiveSetSampler>(
+        new ActiveSetSampler(slot_keys, &fenwick_));
+  }
 
   // The counting side: a second rank order on (y_hi, id), plus one
   // activity Fenwick per endpoint order (see CountActive).
@@ -146,24 +149,30 @@ ActiveRankTree::ActiveRankTree(std::span<const multidim::Rect> rects,
   yhi_count_ = ActivityCounts(m_);
 }
 
-void ActiveRankTree::Activate(uint32_t id) {
-  IQS_DCHECK(id < m_);
-  const size_t base = static_cast<size_t>(ylo_pos_of_id_[id]) * levels_;
-  for (size_t level = 0; level < levels_; ++level) {
-    fenwick_.Add(slot_of_[base + level], 1);
-  }
-  ylo_count_.Add(ylo_pos_of_id_[id], 1);
-  yhi_count_.Add(yhi_pos_of_id_[id], 1);
+void ActiveRankTree::Activate(uint32_t id, Side side) {
+  Flip(id, side, 1);
 }
 
-void ActiveRankTree::Deactivate(uint32_t id) {
+void ActiveRankTree::Deactivate(uint32_t id, Side side) {
+  Flip(id, side, kMinusOne);
+}
+
+void ActiveRankTree::Flip(uint32_t id, Side side, uint32_t delta) {
   IQS_DCHECK(id < m_);
+  if (side == Side::kCounting) {
+    ylo_count_.Add(ylo_pos_of_id_[id], delta);
+    yhi_count_.Add(yhi_pos_of_id_[id], delta);
+    return;
+  }
   const size_t base = static_cast<size_t>(ylo_pos_of_id_[id]) * levels_;
   for (size_t level = 0; level < levels_; ++level) {
-    fenwick_.Add(slot_of_[base + level], kMinusOne);
+    fenwick_.Add(slot_of_[base + level], delta);
   }
-  ylo_count_.Add(ylo_pos_of_id_[id], kMinusOne);
-  yhi_count_.Add(yhi_pos_of_id_[id], kMinusOne);
+}
+
+uint64_t ActiveRankTree::active_total(Side side) const {
+  return side == Side::kCounting ? ylo_count_.TotalSum()
+                                 : fenwick_.TotalSum();
 }
 
 uint64_t ActiveRankTree::CountActive(double ylo_max, double yhi_min) const {
@@ -216,7 +225,6 @@ size_t ActiveRankTree::MemoryBytes() const {
          ids_by_slot_.capacity() * sizeof(uint32_t) +
          yhi_by_slot_.capacity() * sizeof(double) +
          slot_of_.capacity() * sizeof(uint32_t) + fenwick_.MemoryBytes() +
-         slot_keys_.capacity() * sizeof(double) +
          yhi_by_rank_.capacity() * sizeof(double) +
          yhi_pos_of_id_.capacity() * sizeof(uint32_t) +
          ylo_count_.MemoryBytes() + yhi_count_.MemoryBytes() +

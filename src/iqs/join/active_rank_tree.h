@@ -9,7 +9,9 @@
 //   K_e = { j active : y_lo(j) <= e.y_hi  AND  y_hi(j) >= e.y_lo }
 //
 // (closed-interval y-overlap) as either a count (phase 1 of the join
-// sampler) or a weighted cover of contiguous position runs (phase 3).
+// sampler) or a weighted cover of contiguous position runs (phase 3, in
+// a pool fill). The two answers read separate activity, and each sweep
+// maintains only the side it asks (Side below).
 //
 // Layout: elements are embedded in rank space by sorting on (y_lo, id) —
 // the (value, id) tie-break plays the role of SJS's global rank
@@ -34,8 +36,9 @@
 // active element can miss the query (y_lo too high, y_hi too low) are
 // disjoint, so two rank-space Fenwicks (one per endpoint order) answer
 //   |K_e| = #active(y_lo <= a) - #active(y_hi < b)
-// exactly. The phase-1 sweep leans on this; phase 3 cross-checks it
-// against AppendActiveCover's block totals (IQS_DCHECK in the sampler).
+// exactly. The phase-1 sweep leans on this; phase 3 cross-checks its
+// weights against AppendActiveCover's block totals (IQS_DCHECK in the
+// sampler).
 //
 // Concurrency: Activate/Deactivate are writer operations and must be
 // externally serialized against everything else (JoinSampler runs the
@@ -106,13 +109,21 @@ class ActiveRankTree {
   size_t num_levels() const { return levels_; }
   size_t num_slots() const { return ids_by_slot_.size(); }
 
-  // Writer side (the sweep). Activating an element flips its `levels_`
-  // copies live; ids must alternate Activate/Deactivate.
-  void Activate(uint32_t id);
-  void Deactivate(uint32_t id);
-  uint64_t active_total() const { return fenwick_.TotalSum(); }
+  // The two sides of the structure keep separate activity: CountActive
+  // reads only the counting side (two rank-order Fenwicks), while
+  // AppendActiveCover and sampler() read only the drawing side (the
+  // blocked slot Fenwick). A sweep updates just the side it reads —
+  // phase 1 counts, a pool fill draws — so neither pays for the other.
+  enum class Side : uint8_t { kCounting, kDrawing };
 
-  // |K_e| over the current active set (phase-1 weights).
+  // Writer side (the sweep). Activating an element on the drawing side
+  // flips its `levels_` copies live; per side, ids must alternate
+  // Activate/Deactivate.
+  void Activate(uint32_t id, Side side);
+  void Deactivate(uint32_t id, Side side);
+  uint64_t active_total(Side side) const;
+
+  // |K_e| over the counting side's active set (phase-1 weights).
   uint64_t CountActive(double ylo_max, double yhi_min) const;
 
   // Appends K_e's canonical runs to the CURRENT query of `plan` (the
@@ -155,6 +166,9 @@ class ActiveRankTree {
     }
   }
 
+  // Adds `delta` (1, or kMinusOne to remove) to `side`'s activity of id.
+  void Flip(uint32_t id, Side side, uint32_t delta);
+
   // Global slot range of ylo-positions [first, end) at `level` (the block
   // starting at `first` — callers pass aligned blocks).
   size_t SlotBase(size_t level, size_t first) const {
@@ -171,7 +185,6 @@ class ActiveRankTree {
   std::vector<double> yhi_by_slot_;    // global space: y_hi values (run search)
   std::vector<uint32_t> slot_of_;      // [ylo_pos * levels_ + level] -> slot
   ActivityCounts fenwick_;
-  std::vector<double> slot_keys_;      // iota keys for the RangeSampler base
   std::unique_ptr<ActiveSetSampler> sampler_;
   // The O(log m) counting side: activity per endpoint rank order, for the
   // complement-trick CountActive (see header comment).

@@ -1,9 +1,12 @@
 #include "iqs/join/join_sampler.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "iqs/cover/cover_executor.h"
@@ -15,7 +18,8 @@
 #include "iqs/util/check.h"
 #include "iqs/util/rng.h"
 #include "iqs/util/scratch_arena.h"
-#include "iqs/util/thread_pool.h"
+#include "iqs/util/telemetry.h"
+#include "iqs/util/thread_annotations.h"
 
 namespace iqs::join {
 namespace {
@@ -23,41 +27,47 @@ namespace {
 constexpr uint8_t kStart = 0;
 constexpr uint8_t kEnd = 1;
 
-// One alias-assigned slot run of phase 2: query q owes t draws at the
-// START event with the given rank.
-struct DrawItem {
-  uint32_t rank;
-  uint32_t q;
-  size_t t;
-};
+// Alias draws of a fill are taken in blocks of this many, so the draw
+// scratch stays small whatever P is.
+constexpr size_t kAliasBlock = 4096;
 
-// A plan item of phase 3: query q draws t partners for event-side
-// rectangle `id` of relation `rel`; positions come back in plan order.
+// A plan item of phase 3: draw t partners for event-side rectangle `id`
+// of relation `rel`; positions come back in plan order.
 struct PlanMeta {
-  uint32_t q;
   uint32_t id;
   uint8_t rel;
   size_t t;
 };
 
 // Pending executor work against ONE tree: the plan (groups captured at
-// enqueue time), its item metadata, and the flat position output. Batches
-// serialize on the sampler mutex, so thread_local reuse is safe and keeps
-// steady-state flushes allocation-free (multidim_batch.h idiom).
+// enqueue time), its item metadata, and the flat position output.
 struct PlanState {
   CoverPlan plan;
   std::vector<PlanMeta> meta;
   std::vector<size_t> positions;
 };
 
+bool Finite(const multidim::Rect& r) {
+  return std::isfinite(r.x_lo) && std::isfinite(r.x_hi) &&
+         std::isfinite(r.y_lo) && std::isfinite(r.y_hi);
+}
+
 }  // namespace
+
+// The filler thread's working memory, reused across generations.
+struct JoinSampler::FillScratch {
+  std::vector<size_t> ranks;        // one block of alias draws
+  std::vector<size_t> draws_at;     // per start rank: slots of this fill
+  PlanState state_r;                // draws FROM tree_r_ (S-side events)
+  PlanState state_s;                // draws FROM tree_s_ (R-side events)
+  ScratchArena arena;               // executor scratch, reset per flush
+};
 
 JoinSampler::JoinSampler(std::span<const multidim::Rect> r,
                          std::span<const multidim::Rect> s,
                          JoinSamplerOptions options)
     : r_(r.begin(), r.end()),
       s_(s.begin(), s.end()),
-      options_(options),
       tree_r_(r, options.branching),
       tree_s_(s, options.branching) {
   IQS_CHECK(r.size() < kNotDrawing && s.size() < kNotDrawing);
@@ -67,15 +77,16 @@ JoinSampler::JoinSampler(std::span<const multidim::Rect> r,
   // the (rel, id) tail makes ties — and therefore every phase —
   // deterministic functions of the input.
   events_.reserve(2 * (r_.size() + s_.size()));
-  for (uint32_t i = 0; i < r_.size(); ++i) {
-    IQS_DCHECK(r_[i].x_lo <= r_[i].x_hi && r_[i].y_lo <= r_[i].y_hi);
-    events_.push_back({r_[i].x_lo, kStart, 0, i});
-    events_.push_back({r_[i].x_hi, kEnd, 0, i});
-  }
-  for (uint32_t i = 0; i < s_.size(); ++i) {
-    IQS_DCHECK(s_[i].x_lo <= s_[i].x_hi && s_[i].y_lo <= s_[i].y_hi);
-    events_.push_back({s_[i].x_lo, kStart, 1, i});
-    events_.push_back({s_[i].x_hi, kEnd, 1, i});
+  for (uint8_t rel = 0; rel < 2; ++rel) {
+    const std::vector<multidim::Rect>& rects = rel == 0 ? r_ : s_;
+    for (uint32_t i = 0; i < rects.size(); ++i) {
+      const multidim::Rect& rect = rects[i];
+      // iqs-lint: allow(check-in-loop) -- cold build-path input validation
+      IQS_CHECK(Finite(rect) && rect.x_lo <= rect.x_hi &&
+                rect.y_lo <= rect.y_hi);
+      events_.push_back({rect.x_lo, kStart, rel, i});
+      events_.push_back({rect.x_hi, kEnd, rel, i});
+    }
   }
   std::sort(events_.begin(), events_.end(),
             [](const SweepEvent& a, const SweepEvent& b) {
@@ -89,12 +100,13 @@ JoinSampler::JoinSampler(std::span<const multidim::Rect> r,
   // LATER of its two START events (count against the opposite active set
   // BEFORE activating), so the w_e partition J and sum to |J|.
   start_rank_of_.assign(events_.size(), kNotDrawing);
-  MutexLock lock(&mu_);
+  constexpr ActiveRankTree::Side kCounting = ActiveRankTree::Side::kCounting;
+  MutexLock lock(&fill_mu_);
   for (size_t ei = 0; ei < events_.size(); ++ei) {
     const SweepEvent& e = events_[ei];
     ActiveRankTree& own = e.rel == 0 ? tree_r_ : tree_s_;
     if (e.type == kEnd) {
-      own.Deactivate(e.id);
+      own.Deactivate(e.id, kCounting);
       continue;
     }
     const multidim::Rect& rect = RectOf(e);
@@ -103,14 +115,41 @@ JoinSampler::JoinSampler(std::span<const multidim::Rect> r,
     if (w > 0) {
       start_rank_of_[ei] = static_cast<uint32_t>(start_weight_.size());
       start_weight_.push_back(static_cast<double>(w));
-      event_of_rank_.push_back(static_cast<uint32_t>(ei));
       join_size_ += w;
     }
-    own.Activate(e.id);
+    own.Activate(e.id, kCounting);
   }
-  IQS_DCHECK(tree_r_.active_total() == 0 && tree_s_.active_total() == 0);
+  IQS_DCHECK(tree_r_.active_total(kCounting) == 0 &&
+             tree_s_.active_total(kCounting) == 0);
   IQS_CHECK(start_weight_.size() < kNotDrawing);
   if (!start_weight_.empty()) alias_.Build(start_weight_);
+
+  // The pool's two generation buffers are reserved up front: swaps move
+  // storage between them and the filler, so nothing grows later.
+  if (join_size_ > 0) {
+    pool_size_ = std::max(r_.size() + s_.size(), kMinPoolSize);
+    MutexLock pool_lock(&mu_);
+    current_.reserve(pool_size_);
+    standby_.reserve(pool_size_);
+  }
+  memory_bytes_ = r_.capacity() * sizeof(multidim::Rect) +
+                  s_.capacity() * sizeof(multidim::Rect) +
+                  events_.capacity() * sizeof(SweepEvent) +
+                  start_rank_of_.capacity() * sizeof(uint32_t) +
+                  start_weight_.capacity() * sizeof(double) +
+                  alias_.MemoryBytes() + tree_r_.MemoryBytes() +
+                  tree_s_.MemoryBytes() + 2 * pool_size_ * sizeof(JoinPair);
+}
+
+JoinSampler::~JoinSampler() {
+  std::thread filler;
+  {
+    MutexLock lock(&mu_);
+    stop_.store(true, std::memory_order_relaxed);
+    filler = std::move(filler_);
+  }
+  cv_.NotifyAll();
+  if (filler.joinable()) filler.join();
 }
 
 void JoinSampler::SampleJoinBatch(std::span<const JoinBatchQuery> queries,
@@ -119,7 +158,8 @@ void JoinSampler::SampleJoinBatch(std::span<const JoinBatchQuery> queries,
                                   JoinBatchResult* result) const {
   IQS_CHECK(rng != nullptr && arena != nullptr && result != nullptr);
   IQS_CHECK(opts.max_batch == 0 || queries.size() <= opts.max_batch);
-  IQS_CHECK(queries.size() < static_cast<size_t>(kNotDrawing));
+  TelemetrySink* const sink = opts.telemetry;
+  const uint64_t start_ns = sink != nullptr ? TelemetryNowNs() : 0;
 
   result->Clear();
   const size_t nq = queries.size();
@@ -133,76 +173,109 @@ void JoinSampler::SampleJoinBatch(std::span<const JoinBatchQuery> queries,
   }
   result->offsets[nq] = total;
   result->pairs.resize(total);
-  if (total == 0) return;
 
-  arena->Reset();
-  MutexLock lock(&mu_);
-
-  // Phase 2: alias-assign every slot to its START event, then run-length
-  // the (event rank, query) keys into DrawItems sorted in sweep order.
-  // All alias draws happen before any executor fork, so this stage is
-  // identical for every opts threading mode.
-  std::span<uint64_t> keys = arena->Alloc<uint64_t>(total);
-  {
-    thread_local std::vector<size_t> alias_draws;
-    size_t k = 0;
-    for (size_t q = 0; q < nq; ++q) {
-      alias_draws.clear();
-      alias_.SampleMany(queries[q].s, rng, &alias_draws);
-      for (const size_t rank : alias_draws) {
-        keys[k++] = (static_cast<uint64_t>(rank) << 32) | q;
-      }
+  // The flat result is the concatenation of the query slices in order,
+  // so the whole batch is the next `total` pairs of the pool — which is
+  // why batch boundaries cannot change what a query receives.
+  bool drew_key = false;
+  if (total > 0) {
+    MutexLock lock(&mu_);
+    if (!filler_.joinable()) {
+      filler_ = std::thread([this, key = rng->Next64()] { FillLoop(key); });
+      drew_key = true;
     }
-    IQS_DCHECK(k == total);
+    size_t done = 0;
+    while (done < total) {
+      if (cursor_ == current_.size()) {
+        if (!standby_ready_) {
+          cv_.Wait(&mu_);
+          continue;
+        }
+        current_.swap(standby_);
+        cursor_ = 0;
+        standby_ready_ = false;
+        cv_.NotifyAll();  // the filler starts on the next generation
+      }
+      const size_t take = std::min(total - done, current_.size() - cursor_);
+      std::copy_n(current_.begin() + static_cast<ptrdiff_t>(cursor_), take,
+                  result->pairs.begin() + static_cast<ptrdiff_t>(done));
+      cursor_ += take;
+      done += take;
+    }
   }
-  std::sort(keys.begin(), keys.end());
-  std::span<DrawItem> items = arena->Alloc<DrawItem>(total);
-  size_t num_items = 0;
-  for (size_t i = 0; i < total;) {
-    size_t j = i;
-    while (j < total && keys[j] == keys[i]) ++j;
-    items[num_items++] = {static_cast<uint32_t>(keys[i] >> 32),
-                          static_cast<uint32_t>(keys[i] & 0xffffffffu), j - i};
-    i = j;
+  if (sink != nullptr) {
+    QueryStats* stats = &sink->shard(0)->stats;
+    stats->queries += nq;
+    stats->samples_emitted += total;
+    stats->rng_draws += drew_key ? 1 : 0;
+    sink->shard(0)->latency.Record(TelemetryNowNs() - start_ns);
+  }
+}
+
+void JoinSampler::FillLoop(uint64_t pool_key) const {
+  const Rng root(pool_key);
+  FillScratch scratch;
+  std::vector<JoinPair> buffer;
+  for (uint64_t generation = 0;; ++generation) {
+    {
+      MutexLock lock(&mu_);
+      while (standby_ready_ && !stop_.load(std::memory_order_relaxed)) {
+        cv_.Wait(&mu_);
+      }
+      if (stop_.load(std::memory_order_relaxed)) return;
+      buffer.swap(standby_);  // borrow the spare storage for the fill
+    }
+    Rng rng = root.ForkStream(generation);
+    {
+      MutexLock fill_lock(&fill_mu_);
+      if (!Fill(&rng, &scratch, &buffer)) return;
+    }
+    {
+      MutexLock lock(&mu_);
+      standby_.swap(buffer);
+      standby_ready_ = true;
+    }
+    cv_.NotifyAll();
+  }
+}
+
+bool JoinSampler::Fill(Rng* rng, FillScratch* scratch,
+                       std::vector<JoinPair>* out) const {
+  // Phase 2: alias-assign the pool_size_ slots to START events, tallied
+  // per start rank (ranks are in sweep order, so phase 3 reads the
+  // tally as it meets each event — no sort of the slots).
+  scratch->draws_at.assign(start_weight_.size(), 0);
+  for (size_t done = 0; done < pool_size_;) {
+    const size_t block = std::min(kAliasBlock, pool_size_ - done);
+    scratch->ranks.clear();
+    alias_.SampleMany(block, rng, &scratch->ranks);
+    for (const size_t rank : scratch->ranks) ++scratch->draws_at[rank];
+    done += block;
   }
 
-  // Per-query write cursors into the flat pair buffer: draws for a query
-  // arrive across many flushes but land contiguously.
-  std::span<size_t> cursors = arena->Alloc<size_t>(nq);
-  for (size_t q = 0; q < nq; ++q) cursors[q] = result->offsets[q];
-
-  // Inner executor options: plan queries are (query, event) pairs, so the
-  // frontend's max_batch contract does not apply below this point; one
-  // pool spans all flushes instead of a transient pool per flush.
-  BatchOptions inner = opts;
-  inner.max_batch = 0;
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (!inner.sequential() && inner.pool == nullptr) {
-    owned_pool = std::make_unique<ThreadPool>(inner.num_threads);
-    inner.pool = owned_pool.get();
-  }
-
-  thread_local PlanState state_r;  // draws FROM tree_r_ (S-side events)
-  thread_local PlanState state_s;  // draws FROM tree_s_ (R-side events)
+  out->clear();
+  PlanState& state_r = scratch->state_r;
+  PlanState& state_s = scratch->state_s;
   state_r.plan.Clear();
   state_r.meta.clear();
   state_s.plan.Clear();
   state_s.meta.clear();
 
   // Flushes every pending plan query against `tree` through the shared
-  // executor pipeline and scatters the drawn partners into the result.
+  // executor pipeline (sequential mode) and appends the drawn pairs.
   const auto flush = [&](PlanState* ps, const ActiveRankTree& tree) {
     if (ps->plan.num_queries() == 0) return;
     ps->positions.clear();
-    CoverExecutor::ExecuteOverSampler(ps->plan, tree.sampler(), rng, arena,
-                                      inner, &ps->positions);
+    CoverExecutor::ExecuteOverSampler(ps->plan, tree.sampler(), rng,
+                                      &scratch->arena, BatchOptions{},
+                                      &ps->positions);
+    scratch->arena.Reset();
     size_t off = 0;
     for (const PlanMeta& m : ps->meta) {
       for (size_t d = 0; d < m.t; ++d) {
         const uint32_t other = tree.IdAt(ps->positions[off + d]);
-        result->pairs[cursors[m.q]++] = m.rel == 0
-                                            ? JoinPair{m.id, other}
-                                            : JoinPair{other, m.id};
+        out->push_back(m.rel == 0 ? JoinPair{m.id, other}
+                                  : JoinPair{other, m.id});
       }
       off += m.t;
     }
@@ -215,48 +288,43 @@ void JoinSampler::SampleJoinBatch(std::span<const JoinBatchQuery> queries,
   // drawing event (the opposite active set is exactly phase 1's), and a
   // tree's pending plan is flushed just before the tree changes, so
   // captured groups always describe the live Fenwick state they draw on.
-  size_t item_idx = 0;
+  constexpr ActiveRankTree::Side kDrawing = ActiveRankTree::Side::kDrawing;
   for (size_t ei = 0; ei < events_.size(); ++ei) {
+    if (stop_.load(std::memory_order_relaxed)) return false;
     const SweepEvent& e = events_[ei];
     ActiveRankTree& own = e.rel == 0 ? tree_r_ : tree_s_;
     flush(e.rel == 0 ? &state_r : &state_s, own);
     if (e.type == kEnd) {
-      own.Deactivate(e.id);
+      own.Deactivate(e.id, kDrawing);
       continue;
     }
     const uint32_t rank = start_rank_of_[ei];
-    if (rank != kNotDrawing) {
+    if (rank != kNotDrawing && scratch->draws_at[rank] > 0) {
       const ActiveRankTree& opp = e.rel == 0 ? tree_s_ : tree_r_;
       PlanState* opp_state = e.rel == 0 ? &state_s : &state_r;
       const multidim::Rect& rect = RectOf(e);
-      while (item_idx < num_items && items[item_idx].rank == rank) {
-        opp_state->plan.BeginQuery(items[item_idx].t);
-        const uint64_t w =
-            opp.AppendActiveCover(rect.y_hi, rect.y_lo, &opp_state->plan);
-        IQS_DCHECK(static_cast<double>(w) == start_weight_[rank]);
-        (void)w;
-        opp_state->meta.push_back(
-            {items[item_idx].q, e.id, e.rel, items[item_idx].t});
-        ++item_idx;
-      }
+      const size_t t = scratch->draws_at[rank];
+      opp_state->plan.BeginQuery(t);
+      const uint64_t w =
+          opp.AppendActiveCover(rect.y_hi, rect.y_lo, &opp_state->plan);
+      IQS_DCHECK(static_cast<double>(w) == start_weight_[rank]);
+      (void)w;
+      opp_state->meta.push_back({e.id, e.rel, t});
     }
-    own.Activate(e.id);
+    own.Activate(e.id, kDrawing);
   }
   flush(&state_r, tree_r_);
   flush(&state_s, tree_s_);
-  IQS_DCHECK(item_idx == num_items);
-  IQS_DCHECK(tree_r_.active_total() == 0 && tree_s_.active_total() == 0);
-}
+  IQS_DCHECK(out->size() == pool_size_);
+  IQS_DCHECK(tree_r_.active_total(kDrawing) == 0 &&
+             tree_s_.active_total(kDrawing) == 0);
 
-size_t JoinSampler::MemoryBytes() const {
-  MutexLock lock(&mu_);
-  return r_.capacity() * sizeof(multidim::Rect) +
-         s_.capacity() * sizeof(multidim::Rect) +
-         events_.capacity() * sizeof(SweepEvent) +
-         start_rank_of_.capacity() * sizeof(uint32_t) +
-         start_weight_.capacity() * sizeof(double) +
-         event_of_rank_.capacity() * sizeof(uint32_t) + alias_.MemoryBytes() +
-         tree_r_.MemoryBytes() + tree_s_.MemoryBytes();
+  // Sweep output is grouped by event; a Fisher-Yates pass makes every
+  // contiguous slice of the generation an i.i.d. sequence.
+  for (size_t i = out->size(); i > 1; --i) {
+    std::swap((*out)[i - 1], (*out)[rng->Below(i)]);
+  }
+  return true;
 }
 
 }  // namespace iqs::join

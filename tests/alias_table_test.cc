@@ -1,5 +1,6 @@
 #include "iqs/alias/alias_table.h"
 
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -34,6 +35,17 @@ TEST(AliasTableTest, SkewedWeightsMatchDistribution) {
   std::vector<size_t> samples;
   table.SampleMany(200000, &rng, &samples);
   testing::ExpectSamplesMatchWeights(samples, weights);
+}
+
+// A weight of +inf (or finite weights whose sum overflows) would leave a
+// non-finite total and a table that returns one index forever.
+TEST(AliasTableDeathTest, NonFiniteTotalWeightRejected) {
+  const std::vector<double> inf_weight = {
+      1.0, std::numeric_limits<double>::infinity(), 2.0, 0.5};
+  EXPECT_DEATH(AliasTable{inf_weight}, "isfinite\\(total_weight_\\)");
+  const double big = std::numeric_limits<double>::max();
+  const std::vector<double> overflow = {big, big};
+  EXPECT_DEATH(AliasTable{overflow}, "isfinite\\(total_weight_\\)");
 }
 
 TEST(AliasTableTest, ZeroWeightNeverSampled) {
