@@ -21,8 +21,7 @@ is_table_bench() {
     bench_space|bench_em_sampling|bench_em_range|bench_independence| \
     bench_approx_iqs|bench_deamortized|bench_batch_serving| \
     bench_multidim_batch|bench_parallel_serving|bench_telemetry| \
-    bench_simd_kernels|bench_concurrent_churn|bench_serve_frontend| \
-    bench_join_sampling)
+    bench_concurrent_churn|bench_serve_frontend|bench_join_sampling)
       return 0 ;;
     *)
       return 1 ;;
@@ -34,8 +33,8 @@ is_table_bench() {
 table_bench_writes_json() {
   case "$1" in
     bench_batch_serving|bench_multidim_batch|bench_parallel_serving| \
-    bench_telemetry|bench_simd_kernels|bench_concurrent_churn| \
-    bench_serve_frontend|bench_join_sampling)
+    bench_telemetry|bench_concurrent_churn|bench_serve_frontend| \
+    bench_join_sampling)
       return 0 ;;
     *)
       return 1 ;;

@@ -6,8 +6,6 @@
 #include <limits>
 #include <span>
 
-#include "iqs/simd/dispatch.h"
-#include "iqs/simd/kernels.h"
 #include "iqs/util/check.h"
 
 namespace iqs {
@@ -71,31 +69,6 @@ void AliasTable::SampleMany(size_t count, Rng* rng,
 void AliasTable::SampleBlock(Rng* rng, size_t base,
                              std::span<size_t> out) const {
   IQS_DCHECK(!urns_.empty());
-  // The SIMD kernels gather from urns_ as raw bytes; pin the layout they
-  // assume (simd/kernels.h).
-  static_assert(sizeof(Urn) == simd::kUrnStride);
-  static_assert(offsetof(Urn, primary_prob) == simd::kUrnProbOffset);
-  static_assert(offsetof(Urn, primary) == simd::kUrnPrimaryOffset);
-  static_assert(offsetof(Urn, alias) == simd::kUrnAliasOffset);
-#if IQS_SIMD_HAVE_AVX2 || IQS_SIMD_HAVE_NEON
-  if (out.size() >= simd::kAliasDispatchMin) {
-    const simd::Backend backend = simd::ActiveBackend();
-#if IQS_SIMD_HAVE_AVX2
-    if (backend == simd::Backend::kAvx2) {
-      simd::AliasBlockAvx2(rng->Next64(), urns_.data(), urns_.size(), base,
-                           out);
-      return;
-    }
-#endif
-#if IQS_SIMD_HAVE_NEON
-    if (backend == simd::Backend::kNeon) {
-      simd::AliasBlockNeon(rng->Next64(), urns_.data(), urns_.size(), base,
-                           out);
-      return;
-    }
-#endif
-  }
-#endif
   constexpr size_t kBlock = 256;
   uint64_t urn_idx[kBlock];
   double coin[kBlock];
@@ -124,47 +97,9 @@ void AliasTable::SampleTargets(std::span<const AliasTable* const> tables,
   IQS_DCHECK(tables.size() == out.size());
   IQS_DCHECK(bases.size() == out.size());
   constexpr size_t kBlock = 256;
-#if IQS_SIMD_HAVE_AVX2 || IQS_SIMD_HAVE_NEON
-  if (out.size() >= simd::kAliasDispatchMin) {
-    const simd::Backend backend = simd::ActiveBackend();
-    if (backend != simd::Backend::kScalar) {
-      // Lower each block's tables to raw (urn array, bound) pairs for the
-      // gather kernel; one Rng word per block seeds its lanes.
-      const void* urn_ptrs[kBlock];
-      uint64_t bounds[kBlock];
-      for (size_t start = 0; start < out.size(); start += kBlock) {
-        const size_t m = std::min(kBlock, out.size() - start);
-        for (size_t i = 0; i < m; ++i) {
-          const AliasTable* table = tables[start + i];
-          urn_ptrs[i] =
-              table == nullptr
-                  ? nullptr
-                  : static_cast<const void*>(table->urns_.data());
-          bounds[i] = table == nullptr ? 1 : table->urns_.size();
-        }
-        const std::span<size_t> dst = out.subspan(start, m);
-#if IQS_SIMD_HAVE_AVX2
-        if (backend == simd::Backend::kAvx2) {
-          simd::AliasTargetsAvx2(rng->Next64(), urn_ptrs, bounds,
-                                 bases.data() + start, dst);
-          continue;
-        }
-#endif
-#if IQS_SIMD_HAVE_NEON
-        if (backend == simd::Backend::kNeon) {
-          simd::AliasTargetsNeon(rng->Next64(), urn_ptrs, bounds,
-                                 bases.data() + start, dst);
-          continue;
-        }
-#endif
-      }
-      return;
-    }
-  }
-#endif
-  // Scalar reference: byte-identical randomness consumption to the
-  // historical blocked cover loops — a block of coins, then one urn pick
-  // (with prefetch) per non-null draw, then the resolve pass.
+  // The consumption order is part of the byte contract: a block of
+  // coins, then one urn pick (with prefetch) per non-null draw, then the
+  // resolve pass.
   uint64_t urn_idx[kBlock];
   double coins[kBlock];
   for (size_t start = 0; start < out.size(); start += kBlock) {

@@ -61,13 +61,7 @@ class AliasTable {
   // state round-trips, and software-prefetches urns a fixed distance
   // ahead — on tables bigger than cache the random urn loads then miss
   // concurrently instead of one at a time. Per-sample distribution
-  // identical to Sample().
-  //
-  // Under a SIMD backend (simd/dispatch.h) large blocks run the fused
-  // vector kernel — urn pick, coin, urn gather, and compare-blend select
-  // all in-register, one Rng word consumed per vector block as the lane
-  // seed. Same per-sample law (chi-squared in simd_kernels_test); the
-  // scalar backend keeps the bit-stable blocked loop.
+  // identical to Sample() (chi-squared in alias_table_test).
   void SampleBlock(Rng* rng, size_t base, std::span<size_t> out) const;
 
   // Heterogeneous blocked pipeline over per-draw (table, base) pairs —
@@ -77,8 +71,7 @@ class AliasTable {
   // tables[i] is null (degenerate single-element group). Blocked like
   // SampleBlock (coins for a block up front, urn picks + prefetch for the
   // whole block before any urn line is read) so the dependent misses of
-  // different draws overlap; SIMD backends gather through per-lane table
-  // addresses instead. Scalar randomness consumption is exactly the
+  // different draws overlap. Randomness consumption is exactly the
   // historical blocked loops': FillDoubles per block, then one Below per
   // non-null draw.
   static void SampleTargets(std::span<const AliasTable* const> tables,

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "iqs/simd/dispatch.h"
-#include "iqs/simd/kernels.h"
 #include "iqs/util/check.h"
 
 namespace iqs {
@@ -48,10 +46,7 @@ void QuantizedAlias::Build(std::span<const double> weights) {
   }
   // Leftovers keep prob 1.0 / alias self.
 
-  // One sentinel element past the end keeps the SIMD 32-bit gather at the
-  // last urn in bounds (see header); alias_ holds the real urn count.
-  prob_q16_.resize(n + 1);
-  prob_q16_[n] = 0;
+  prob_q16_.resize(n);
   alias_.assign(alias.begin(), alias.end());
   for (size_t i = 0; i < n; ++i) {
     const double q = std::round(prob[i] * 65536.0);
@@ -71,25 +66,6 @@ void QuantizedAlias::SampleMany(size_t count, Rng* rng,
 void QuantizedAlias::SampleBlock(Rng* rng, size_t base,
                                  std::span<size_t> out) const {
   IQS_DCHECK(!alias_.empty());
-#if IQS_SIMD_HAVE_AVX2 || IQS_SIMD_HAVE_NEON
-  if (out.size() >= simd::kAliasDispatchMin) {
-    const simd::Backend backend = simd::ActiveBackend();
-#if IQS_SIMD_HAVE_AVX2
-    if (backend == simd::Backend::kAvx2) {
-      simd::QuantizedBlockAvx2(rng->Next64(), prob_q16_.data(), alias_.data(),
-                               alias_.size(), base, out);
-      return;
-    }
-#endif
-#if IQS_SIMD_HAVE_NEON
-    if (backend == simd::Backend::kNeon) {
-      simd::QuantizedBlockNeon(rng->Next64(), prob_q16_.data(), alias_.data(),
-                               alias_.size(), base, out);
-      return;
-    }
-#endif
-  }
-#endif
   for (size_t& v : out) v = base + Sample(rng);
 }
 

@@ -48,11 +48,7 @@ class QuantizedAlias {
   void SampleMany(size_t count, Rng* rng, std::vector<size_t>* out) const;
 
   // Block fast path: fills `out` with independent samples offset by
-  // `base`, same per-element law as Sample(). Under a SIMD backend
-  // (simd/dispatch.h) large blocks run the fused vector kernel — urn
-  // pick, 16-bit coin, quantized-bias and alias gathers, compare-blend —
-  // seeded by one Rng word per block; the scalar backend draws through
-  // Sample() bit-for-bit.
+  // `base`, drawing through Sample() bit-for-bit.
   void SampleBlock(Rng* rng, size_t base, std::span<size_t> out) const;
 
   bool empty() const { return alias_.empty(); }
@@ -69,9 +65,6 @@ class QuantizedAlias {
 
  private:
   // Urn i returns i with probability prob_q16_[i] / 2^16, else alias_[i].
-  // prob_q16_ carries one trailing sentinel element beyond size() so the
-  // SIMD 32-bit gather at the last urn stays in bounds (simd/kernels.h);
-  // alias_ is the authoritative urn count.
   std::vector<uint16_t> prob_q16_;
   std::vector<uint32_t> alias_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "iqs/range/range_sampler.h"
-#include "iqs/simd/dispatch.h"
 #include "iqs/util/thread_pool.h"
 
 namespace iqs {
@@ -24,9 +23,6 @@ void RecordSplitStats(const CoverPlan& plan, TelemetrySink* sink) {
   for (size_t q = 0; q < plan.num_queries(); ++q) {
     stats->rng_draws += SplitDrawsForQuery(plan, q);
   }
-  // Tag the batch with the kernel backend serving it, so exported results
-  // are self-describing (telemetry.h).
-  stats->backend_mask |= simd::BackendBit(simd::ActiveBackend());
 }
 
 // Parallel lowering of ExecuteOverSampler: each query's nonzero groups
@@ -161,7 +157,6 @@ void CoverExecutor::ExecuteParallel(const CoverPlan& plan, Rng* rng,
     QueryStats* stats = &opts.telemetry->shard(0)->stats;
     stats->queries += nq;
     stats->cover_groups += g;
-    stats->backend_mask |= simd::BackendBit(simd::ActiveBackend());
     stats->rng_draws += 1;
     for (size_t q = 0; q < nq; ++q) {
       stats->rng_draws += SplitDrawsForQuery(plan, q);

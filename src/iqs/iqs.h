@@ -77,8 +77,6 @@
 #include "iqs/serve/ticket.h"
 #include "iqs/setunion/set_union_sampler.h"
 #include "iqs/simd/dispatch.h"
-#include "iqs/simd/kernels.h"
-#include "iqs/simd/lanes.h"
 #include "iqs/sketch/kmv_sketch.h"
 #include "iqs/tree/subtree_sampler.h"
 #include "iqs/tree/tree_sampler.h"

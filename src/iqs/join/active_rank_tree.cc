@@ -24,8 +24,8 @@ void ActiveSetSampler::QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
   const uint64_t below = fenwick_->PrefixSum(a);
   const uint64_t count = fenwick_->PrefixSum(b + 1) - below;
   IQS_DCHECK(count > 0);  // cover groups carry weight = live active count
-  // Block the uniform draws through FillBelow (the shared SIMD-friendly
-  // path), then resolve each to the k-th active slot of the range.
+  // Block the uniform draws through FillBelow (the shared block path),
+  // then resolve each to the k-th active slot of the range.
   constexpr size_t kDrawBlock = 64;
   uint64_t block[kDrawBlock];
   size_t done = 0;

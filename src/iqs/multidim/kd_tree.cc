@@ -1,6 +1,7 @@
 #include "iqs/multidim/kd_tree.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace iqs::multidim {
@@ -14,7 +15,7 @@ KdTree::KdTree(std::span<const Point2> points, std::span<const double> weights)
     IQS_CHECK(weights.size() == points.size());
     weights_.assign(weights.begin(), weights.end());
     // iqs-lint: allow(check-in-loop) -- cold build-path input validation
-    for (double w : weights_) IQS_CHECK(w > 0.0);
+    for (double w : weights_) IQS_CHECK(std::isfinite(w) && w > 0.0);
   }
   nodes_.reserve(2 * points_.size());
   const uint32_t root = Build(0, points_.size() - 1, 0);

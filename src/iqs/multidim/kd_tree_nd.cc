@@ -1,6 +1,7 @@
 #include "iqs/multidim/kd_tree_nd.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "iqs/util/telemetry.h"
@@ -20,7 +21,7 @@ KdTreeNd::KdTreeNd(size_t dim, std::span<const double> coords,
     IQS_CHECK(weights.size() == n);
     weights_.assign(weights.begin(), weights.end());
     // iqs-lint: allow(check-in-loop) -- cold build-path input validation
-    for (double w : weights_) IQS_CHECK(w > 0.0);
+    for (double w : weights_) IQS_CHECK(std::isfinite(w) && w > 0.0);
   }
   nodes_.reserve(2 * n);
   const uint32_t root = Build(0, n - 1, 0);

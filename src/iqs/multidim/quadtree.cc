@@ -1,6 +1,7 @@
 #include "iqs/multidim/quadtree.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "iqs/util/check.h"
@@ -21,7 +22,7 @@ Quadtree::Quadtree(std::span<const Point2> points,
     IQS_CHECK(weights.size() == points.size());
     weights_.assign(weights.begin(), weights.end());
     // iqs-lint: allow(check-in-loop) -- cold build-path input validation
-    for (double w : weights_) IQS_CHECK(w > 0.0);
+    for (double w : weights_) IQS_CHECK(std::isfinite(w) && w > 0.0);
   }
 
   // Root box: the data bounding box expanded to a square (classic PR

@@ -92,9 +92,11 @@ uint32_t RangeTree2DSampler::Build(size_t lo, size_t hi) {
   }
 
   const size_t m = node.ids_by_y.size();
+  // Sized before weight_prefix: after assign(m + 1) gcc 12 considers
+  // m == SIZE_MAX and warns (-Walloc-size-larger-than) on this one.
+  std::vector<double> y_weights(m);
   node.y_sorted_ys.resize(m);
   node.weight_prefix.assign(m + 1, 0.0);
-  std::vector<double> y_weights(m);
   for (size_t i = 0; i < m; ++i) {
     node.y_sorted_ys[i] = points_by_x_[node.ids_by_y[i]].y;
     y_weights[i] = weights_by_x_[node.ids_by_y[i]];

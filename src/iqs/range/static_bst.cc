@@ -1,10 +1,8 @@
 #include "iqs/range/static_bst.h"
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
-
-#include "iqs/simd/dispatch.h"
-#include "iqs/simd/kernels.h"
 
 namespace iqs {
 
@@ -28,7 +26,7 @@ StaticBst::StaticBst(std::span<const double> weights)
     const uint32_t hi = nodes_[u].hi;
     if (lo == hi) {
       // iqs-lint: allow(check-in-loop) -- cold build-path input validation
-      IQS_CHECK(weights[lo] > 0.0);
+      IQS_CHECK(std::isfinite(weights[lo]) && weights[lo] > 0.0);
       leaf_of_position_[lo] = static_cast<NodeId>(u);
       continue;
     }
@@ -50,6 +48,8 @@ StaticBst::StaticBst(std::span<const double> weights)
                            ? weights[nodes_[u].lo]
                            : nodes_[left].weight + nodes_[left + 1].weight;
   }
+  // Finite leaves can still overflow the root's sum.
+  IQS_CHECK(std::isfinite(nodes_[0].weight));
 }
 
 void StaticBst::CanonicalCover(size_t a, size_t b,
@@ -115,12 +115,6 @@ size_t StaticBst::DescendToLeaves(std::span<NodeId> lanes, Rng* rng,
   if (lanes.empty()) return 0;
   size_t steps = 0;
   const Node* nodes = nodes_.data();
-  // The SIMD kernels gather node fields as raw bytes; pin the layout they
-  // assume (simd/kernels.h).
-  static_assert(sizeof(Node) == simd::kNodeStride);
-  static_assert(offsetof(Node, weight) == simd::kNodeWeightOffset);
-  static_assert(offsetof(Node, left) == simd::kNodeLeftOffset);
-  static_assert(kNullNode == simd::kNullNodeId);
   // Level-synchronous descent: every pass advances all still-internal
   // lanes one level, drawing the pass's randomness in one block and
   // prefetching each lane's next node so the node loads of the following
@@ -128,30 +122,6 @@ size_t StaticBst::DescendToLeaves(std::span<NodeId> lanes, Rng* rng,
   // processed in fixed-size chunks — memory-level parallelism saturates
   // well below kLaneBlock, and the chunk bounds the scratch footprint.
   constexpr size_t kLaneBlock = 2048;
-#if IQS_SIMD_HAVE_AVX2 || IQS_SIMD_HAVE_NEON
-  if (lanes.size() >= simd::kDescendDispatchMin) {
-    const simd::Backend backend = simd::ActiveBackend();
-    if (backend != simd::Backend::kScalar) {
-      for (size_t start = 0; start < lanes.size(); start += kLaneBlock) {
-        const std::span<NodeId> block =
-            lanes.subspan(start, std::min(kLaneBlock, lanes.size() - start));
-#if IQS_SIMD_HAVE_AVX2
-        if (backend == simd::Backend::kAvx2) {
-          steps += simd::DescendLanesAvx2(rng->Next64(), nodes, block);
-          continue;
-        }
-#endif
-#if IQS_SIMD_HAVE_NEON
-        if (backend == simd::Backend::kNeon) {
-          steps += simd::DescendLanesNeon(rng->Next64(), nodes, block);
-          continue;
-        }
-#endif
-      }
-      return steps;
-    }
-  }
-#endif
   const std::span<double> rnd =
       arena->Alloc<double>(std::min(lanes.size(), kLaneBlock));
   for (size_t start = 0; start < lanes.size(); start += kLaneBlock) {

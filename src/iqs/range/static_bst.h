@@ -42,7 +42,7 @@ class StaticBst {
 
   StaticBst() = default;
 
-  // Builds the tree over `weights[i] > 0` for leaf positions i. O(n).
+  // Builds the tree over finite `weights[i] > 0` for leaf positions i. O(n).
   explicit StaticBst(std::span<const double> weights);
 
   size_t num_leaves() const { return num_leaves_; }
@@ -105,12 +105,6 @@ class StaticBst {
   // parallelism on the batched serving path. Returns the number of
   // lane-level descent steps taken (the node loads that dominate the 1-d
   // hot path), which callers feed into QueryStats::nodes_visited.
-  //
-  // Under a SIMD backend (simd/dispatch.h) each lane chunk descends
-  // breadth-synchronously in vector registers — weight/child gathers and
-  // the left/right select all in-lane, one Rng word per chunk as the lane
-  // seed. Same per-lane law (chi-squared in simd_kernels_test); the
-  // scalar backend keeps the bit-stable blocked loop.
   size_t DescendToLeaves(std::span<NodeId> lanes, Rng* rng,
                          ScratchArena* arena) const;
 

@@ -9,9 +9,9 @@
 // opts, result) call per time-or-size window (flush at max_batch queries
 // or when the oldest waiter has aged max_delay_ns, whichever first), and
 // completes each query's ticket from the batch result. Per-query cost
-// then rides every batch-layer win at once — grouped cover draws (E19),
-// SIMD kernels (E23), and one pinned epoch snapshot per flushed batch
-// (E24: a versioned backend pins inside its QueryBatch, so a whole
+// then rides every batch-layer win at once — grouped cover draws and
+// blocked draw kernels (E19), and one pinned epoch snapshot per flushed
+// batch (E24: a versioned backend pins inside its QueryBatch, so a whole
 // micro-batch observes one immutable structure version under churn).
 //
 // Sharding is BY STRUCTURE: shard s has its own queue, its own worker

@@ -1,33 +1,12 @@
-// Runtime kernel-backend dispatch for the SIMD layer (DESIGN.md "Kernel
-// dispatch").
+// The kernel backend name, kept only for the benchmark harness.
 //
-// libiqs ships three implementations of its hot serving kernels — block
-// xoshiro256++ generation (Rng::FillDoubles / FillBelow), blocked
-// alias-table draws, and StaticBst's grouped descent:
-//
-//   kScalar  the portable reference loops. Bit-stable: scalar output is
-//            part of the determinism contract and never changes across
-//            releases (rng_test pins FillDoubles == the NextDouble
-//            stream under forced scalar).
-//   kAvx2    4-lane AVX2 kernels (x86-64). Distribution-equivalent to
-//            scalar — same per-element law, proven by chi-square in
-//            simd_kernels_test — but a DIFFERENT stream: a SIMD fill
-//            consumes one word of the caller's Rng as a block seed and
-//            expands it into independent lanes, where scalar steps the
-//            caller's state per element. Deterministic under a fixed
-//            seed and backend.
-//   kNeon    2-lane NEON kernels (aarch64), same contract as kAvx2.
-//
-// The backend is detected once per process (CPUID-backed
-// __builtin_cpu_supports on x86, HWCAP via getauxval on aarch64) and
-// cached; detection is overridable three ways, strongest first:
-//   1. ForceBackend() / ClearForcedBackend() — tests and benches force a
-//      specific backend to compare kernels on the same machine.
-//   2. The IQS_FORCE_SCALAR environment variable (any non-empty value):
-//      pins kScalar for the process without rebuilding.
-//   3. The IQS_DISABLE_SIMD compile definition (cmake
-//      -DIQS_DISABLE_SIMD=ON): compiles the vector TUs out entirely —
-//      the CI job that proves the scalar path alone is green.
+// libiqs has one kernel backend: the portable scalar loops of
+// Rng::FillDoubles / FillBelow, AliasTable::SampleBlock / SampleTargets,
+// QuantizedAlias::SampleBlock and StaticBst::DescendToLeaves. So every
+// host serves one byte stream per seed, the stream the golden tests pin
+// (DESIGN.md §2.6). perfbench still reports these names in its host and
+// sink records; a later benchmark change can drop them, and this header
+// with them.
 
 #ifndef IQS_SIMD_DISPATCH_H_
 #define IQS_SIMD_DISPATCH_H_
@@ -37,51 +16,17 @@
 
 namespace iqs::simd {
 
-// Compile-time availability of the vector kernel TUs. The AVX2 TU is
-// always built on x86-64 (it carries its own -mavx2 and is only entered
-// after the CPUID check); likewise NEON on aarch64.
-#if !defined(IQS_DISABLE_SIMD) && (defined(__x86_64__) || defined(_M_X64))
-#define IQS_SIMD_HAVE_AVX2 1
-#else
-#define IQS_SIMD_HAVE_AVX2 0
-#endif
-#if !defined(IQS_DISABLE_SIMD) && defined(__aarch64__)
-#define IQS_SIMD_HAVE_NEON 1
-#else
-#define IQS_SIMD_HAVE_NEON 0
-#endif
-
 enum class Backend : uint8_t {
   kScalar = 0,
-  kAvx2 = 1,
-  kNeon = 2,
 };
 
-// The backend every dispatching kernel call site uses right now:
-// the forced backend if one is set, else the detected one. Lock-free
-// (one relaxed atomic load) — called on the hot path.
-Backend ActiveBackend();
+inline Backend ActiveBackend() { return Backend::kScalar; }
 
-// True when `backend` is compiled in AND supported by this CPU.
-bool BackendAvailable(Backend backend);
+inline std::string_view BackendName(Backend) { return "scalar"; }
 
-// Overrides detection process-wide until ClearForcedBackend().
-// IQS_CHECKs BackendAvailable(backend). Not intended to race with
-// in-flight batches: callers flip it between runs (tests, benches).
-void ForceBackend(Backend backend);
-void ClearForcedBackend();
-
-// "scalar" / "avx2" / "neon".
-std::string_view BackendName(Backend backend);
-
-// Telemetry bit for `backend` (QueryStats::backend_mask): 1 << int(backend).
-inline uint64_t BackendBit(Backend backend) {
-  return uint64_t{1} << static_cast<int>(backend);
-}
-
-// Renders a QueryStats::backend_mask as "scalar+avx2"-style text; "none"
-// for an empty mask.
-std::string_view BackendMaskName(uint64_t mask);
+// Every batch runs the scalar kernels, whatever QueryStats::backend_mask
+// holds.
+inline std::string_view BackendMaskName(uint64_t) { return "scalar"; }
 
 }  // namespace iqs::simd
 

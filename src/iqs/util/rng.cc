@@ -1,8 +1,5 @@
 #include "iqs/util/rng.h"
 
-#include "iqs/simd/dispatch.h"
-#include "iqs/simd/kernels.h"
-
 namespace iqs {
 
 namespace {
@@ -139,26 +136,6 @@ void Rng::LongJumpByTable() {
 }
 
 void Rng::FillDoubles(std::span<double> out) {
-#if IQS_SIMD_HAVE_AVX2 || IQS_SIMD_HAVE_NEON
-  // Vector backends consume ONE word of this stream as the block seed
-  // (simd/lanes.h) — same per-element law, different byte stream. The
-  // scalar path below is the bit-stable reference (simd/dispatch.h).
-  if (out.size() >= simd::kFillDispatchMin) {
-    const simd::Backend backend = simd::ActiveBackend();
-#if IQS_SIMD_HAVE_AVX2
-    if (backend == simd::Backend::kAvx2) {
-      simd::FillDoublesAvx2(Next64(), out);
-      return;
-    }
-#endif
-#if IQS_SIMD_HAVE_NEON
-    if (backend == simd::Backend::kNeon) {
-      simd::FillDoublesNeon(Next64(), out);
-      return;
-    }
-#endif
-  }
-#endif
   // Keep the four state words in locals for the whole block; the member
   // loop in NextDouble() forces a load/store per draw.
   uint64_t s0 = s_[0];
@@ -184,23 +161,6 @@ void Rng::FillDoubles(std::span<double> out) {
 
 void Rng::FillBelow(uint64_t bound, std::span<uint64_t> out) {
   IQS_DCHECK(bound > 0);
-#if IQS_SIMD_HAVE_AVX2 || IQS_SIMD_HAVE_NEON
-  if (out.size() >= simd::kFillDispatchMin) {
-    const simd::Backend backend = simd::ActiveBackend();
-#if IQS_SIMD_HAVE_AVX2
-    if (backend == simd::Backend::kAvx2) {
-      simd::FillBelowAvx2(Next64(), bound, out);
-      return;
-    }
-#endif
-#if IQS_SIMD_HAVE_NEON
-    if (backend == simd::Backend::kNeon) {
-      simd::FillBelowNeon(Next64(), bound, out);
-      return;
-    }
-#endif
-  }
-#endif
   // Lemire fast path first: one multiply per element, no branch taken in
   // the overwhelmingly common case; rejected lanes are patched after.
   const uint64_t threshold = -bound % bound;

@@ -77,13 +77,9 @@ class Rng {
   // reload state each draw. Element distributions are identical to
   // NextDouble() / Below() respectively.
   //
-  // Large fills dispatch to the active SIMD backend (simd/dispatch.h):
-  // the vector path consumes ONE word of this stream as a block seed and
-  // expands it into independent lanes (simd/lanes.h), so it produces the
-  // same per-element law but a DIFFERENT byte stream than the scalar
-  // loop. Under the scalar backend (detection, IQS_FORCE_SCALAR, or
-  // -DIQS_DISABLE_SIMD) the output is bit-stable: FillDoubles equals the
-  // NextDouble() stream word for word, as rng_test pins.
+  // Both fills are bit-stable: FillDoubles equals the NextDouble()
+  // stream word for word (rng_test pins it), and FillBelow draws exactly
+  // what the same sequence of Below() calls would.
 
   // Fills `out` with independent uniform doubles in [0, 1).
   void FillDoubles(std::span<double> out);

@@ -5,7 +5,6 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "iqs/simd/dispatch.h"
 
 namespace iqs {
 
@@ -26,7 +25,6 @@ void QueryStats::MergeFrom(const QueryStats& other) {
   versions_reclaimed += other.versions_reclaimed;
   reader_pins += other.reader_pins;
   rebuild_ns += other.rebuild_ns;
-  backend_mask |= other.backend_mask;
 }
 
 void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
@@ -122,14 +120,13 @@ void AppendCountersJson(std::string* out, const QueryStats& stats) {
           ", \"steals\": %" PRIu64 ", \"busy_ns\": %" PRIu64
           ", \"versions_published\": %" PRIu64
           ", \"versions_reclaimed\": %" PRIu64 ", \"reader_pins\": %" PRIu64
-          ", \"rebuild_ns\": %" PRIu64 ", \"kernel_backend\": \"%s\"}",
+          ", \"rebuild_ns\": %" PRIu64 "}",
           stats.queries, stats.samples_emitted, stats.rng_draws,
           stats.nodes_visited, stats.cover_groups, stats.rejection_attempts,
           stats.rejection_rounds, stats.arena_bytes_hwm, stats.em_reads,
           stats.em_writes, stats.steals, stats.busy_ns,
           stats.versions_published, stats.versions_reclaimed,
-          stats.reader_pins, stats.rebuild_ns,
-          std::string(simd::BackendMaskName(stats.backend_mask)).c_str());
+          stats.reader_pins, stats.rebuild_ns);
 }
 
 void AppendLatencyJson(std::string* out, const LatencyHistogram& histogram) {
@@ -186,14 +183,13 @@ std::string MetricsRegistry::ToText() const {
             " rej_rounds=%" PRIu64 " arena_hwm=%" PRIu64 " em_r=%" PRIu64
             " em_w=%" PRIu64 " steals=%" PRIu64 " busy_ns=%" PRIu64
             " published=%" PRIu64 " reclaimed=%" PRIu64 " pins=%" PRIu64
-            " rebuild_ns=%" PRIu64 " backend=%s\n",
+            " rebuild_ns=%" PRIu64 "\n",
             name.c_str(), stats.queries, stats.samples_emitted,
             stats.rng_draws, stats.nodes_visited, stats.cover_groups,
             stats.rejection_attempts, stats.rejection_rounds,
             stats.arena_bytes_hwm, stats.em_reads, stats.em_writes,
             stats.steals, stats.busy_ns, stats.versions_published,
-            stats.versions_reclaimed, stats.reader_pins, stats.rebuild_ns,
-            std::string(simd::BackendMaskName(stats.backend_mask)).c_str());
+            stats.versions_reclaimed, stats.reader_pins, stats.rebuild_ns);
     AppendF(&out,
             "%s: latency count=%" PRIu64 " mean_ns=%" PRIu64
             " p50<=%" PRIu64 " p90<=%" PRIu64 " p99<=%" PRIu64

@@ -114,9 +114,8 @@ struct QueryStats {
   uint64_t versions_reclaimed = 0;
   uint64_t reader_pins = 0;
   uint64_t rebuild_ns = 0;
-  // OR of simd::BackendBit(simd::ActiveBackend()) per recorded batch, so
-  // exported results say which kernel backend(s) produced them (merged by
-  // bitwise OR; exporters render it via simd::BackendMaskName).
+  // Never written: libiqs has one kernel backend (simd/dispatch.h). Kept
+  // only because perfbench reads it; a later benchmark change can drop it.
   uint64_t backend_mask = 0;
 
   void MergeFrom(const QueryStats& other);

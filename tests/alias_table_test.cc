@@ -1,6 +1,8 @@
 #include "iqs/alias/alias_table.h"
 
+#include <algorithm>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -111,6 +113,89 @@ TEST(AliasTableTest, IndependentStreamsAgreeInLaw) {
     table.SampleMany(80000, &rng, &samples);
     testing::ExpectSamplesMatchWeights(samples, weights);
   }
+}
+
+TEST(AliasTableTest, SampleBlockMatchesWeights) {
+  const std::vector<double> weights = testing::VariedWeights(37);
+  AliasTable table(weights);
+  Rng rng(105);
+  std::vector<size_t> out;
+  table.SampleMany(300000, &rng, &out);
+  testing::ExpectSamplesMatchWeights(out, weights);
+}
+
+TEST(AliasTableTest, SampleTargetsMatchesWeights) {
+  // Heterogeneous pipeline: per-draw tables of different sizes plus null
+  // (degenerate) draws, the exact shape of the cover-layer grouped draws.
+  const std::vector<double> wa = testing::VariedWeights(19);
+  const std::vector<double> wb = testing::VariedWeights(7);
+  AliasTable table_a(wa);
+  AliasTable table_b(wb);
+  constexpr size_t kTotal = 300000;
+  std::vector<const AliasTable*> tables(kTotal);
+  std::vector<size_t> bases(kTotal);
+  for (size_t i = 0; i < kTotal; ++i) {
+    switch (i % 3) {
+      case 0:
+        tables[i] = &table_a;
+        bases[i] = 0;
+        break;
+      case 1:
+        tables[i] = &table_b;
+        bases[i] = 100;
+        break;
+      default:
+        tables[i] = nullptr;
+        bases[i] = 1000;
+    }
+  }
+  Rng rng(106);
+  std::vector<size_t> out(kTotal);
+  AliasTable::SampleTargets(tables, bases, &rng, out);
+  std::vector<size_t> from_a;
+  std::vector<size_t> from_b;
+  for (size_t i = 0; i < kTotal; ++i) {
+    switch (i % 3) {
+      case 0:
+        from_a.push_back(out[i]);
+        break;
+      case 1:
+        ASSERT_GE(out[i], 100u);
+        from_b.push_back(out[i] - 100);
+        break;
+      default:
+        ASSERT_EQ(out[i], 1000u);  // null table: base passes through
+    }
+  }
+  testing::ExpectSamplesMatchWeights(from_a, wa);
+  testing::ExpectSamplesMatchWeights(from_b, wb);
+}
+
+TEST(AliasTableTest, SampleBlockIsBitStable) {
+  // SampleBlock keeps the historical randomness consumption byte for
+  // byte: per 256-draw block, one FillBelow over the urns then one
+  // FillDoubles of coins, resolved with SampleAt.
+  const std::vector<double> weights = testing::VariedWeights(31);
+  AliasTable table(weights);
+  Rng rng(110);
+  Rng ref_rng(110);
+  std::vector<size_t> out(1000);
+  table.SampleBlock(&rng, 5, out);
+
+  constexpr size_t kBlock = 256;
+  uint64_t urn_idx[kBlock];
+  double coin[kBlock];
+  for (size_t i = 0; i < out.size();) {
+    const size_t m = std::min(out.size() - i, kBlock);
+    ref_rng.FillBelow(table.size(), std::span<uint64_t>(urn_idx, m));
+    ref_rng.FillDoubles(std::span<double>(coin, m));
+    for (size_t j = 0; j < m; ++j) {
+      ASSERT_EQ(out[i + j], 5 + table.SampleAt(urn_idx[j], coin[j]));
+    }
+    i += m;
+  }
+  // And the generator advanced identically.
+  EXPECT_EQ(rng.Next64(), ref_rng.Next64());
 }
 
 }  // namespace

@@ -32,8 +32,9 @@ namespace {
 // captured from the pre-epoch build.
 using testing::Fnv;
 
-// The level-order QueryBatch stream of the golden sampler below.
-constexpr uint64_t kLogarithmicGoldenBatchHash = 0x5b5e768ce6ed4c20ULL;
+// The level-order QueryBatch stream of the golden sampler below, as the
+// one scalar kernel backend serves it.
+constexpr uint64_t kLogarithmicGoldenBatchHash = 0x729473128b8de019ULL;
 
 void InsertGoldenKeys(LogarithmicRangeSampler* sampler) {
   Rng ins(42);

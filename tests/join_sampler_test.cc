@@ -20,7 +20,6 @@
 #include "iqs/join/join_enumerator.h"
 #include "iqs/join/join_sampler.h"
 #include "iqs/multidim/point.h"
-#include "iqs/simd/dispatch.h"
 #include "iqs/util/batch_options.h"
 #include "iqs/util/rng.h"
 #include "iqs/util/scratch_arena.h"
@@ -449,17 +448,8 @@ TEST(JoinSampler, BatchBoundaryInvariance) {
 }
 
 // Pins the pooled output bytes for a fixed input and seed: three batches
-// through one sampler, crossing a generation boundary. Pinned under the
-// scalar backend, the bit-stable reference (simd/dispatch.h); the guard
-// outlives the sampler, so the filler never sees the override change.
-class ScopedScalarBackend {
- public:
-  ScopedScalarBackend() { simd::ForceBackend(simd::Backend::kScalar); }
-  ~ScopedScalarBackend() { simd::ClearForcedBackend(); }
-};
-
+// through one sampler, crossing a generation boundary.
 TEST(JoinSampler, GoldenHash) {
-  ScopedScalarBackend scalar;
   Rng data_rng(7013);
   const std::vector<Rect> r = RandomRects(70, 100.0, 25.0, &data_rng);
   const std::vector<Rect> s = RandomRects(80, 100.0, 25.0, &data_rng);

@@ -1,5 +1,6 @@
 #include "iqs/multidim/kd_tree_nd.h"
 
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -143,6 +144,17 @@ TEST(KdNdTest, SinglePointAndDegenerateBox) {
   BoxNd miss(3);
   for (size_t k = 0; k < 3; ++k) miss.set(k, 0.6, 0.7);
   EXPECT_FALSE(sampler.QueryBox(miss, 1, &rng, &out));
+}
+
+TEST(KdTreeNdDeathTest, RejectsNonFiniteOrNonPositiveWeights) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<double> coords = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0}) {
+    const std::vector<double> weights = {1.0, bad};
+    EXPECT_DEATH(KdTreeNd(3, coords, weights), "isfinite") << bad;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "iqs/multidim/kd_tree.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -263,6 +264,17 @@ TEST(KdSamplerTest, SinglePointDataset) {
   ASSERT_TRUE(sampler.QueryRect({0.0, 1.0, 0.0, 1.0}, 3, &rng, &out));
   ASSERT_EQ(out.size(), 3u);
   for (const Point2& p : out) EXPECT_EQ(p, pts[0]);
+}
+
+TEST(KdTreeDeathTest, RejectsNonFiniteOrNonPositiveWeights) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<Point2> pts = {{0.1, 0.2}, {0.3, 0.4}};
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0}) {
+    const std::vector<double> weights = {1.0, bad};
+    EXPECT_DEATH(KdTree(pts, weights), "isfinite") << bad;
+  }
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 #include "iqs/range/chunked_range_sampler.h"
 #include "iqs/range/naive_range_sampler.h"
 #include "iqs/range/range_sampler.h"
-#include "iqs/simd/dispatch.h"
 #include "iqs/tree/subtree_sampler.h"
 #include "iqs/tree/weighted_tree.h"
 #include "iqs/util/batch_options.h"
@@ -275,15 +274,9 @@ TEST(ParallelRangeTreeNdTest, BitIdenticalAcrossThreadCounts) {
 
 // Golden bytes: fixed-seed output of both range trees, in the parallel
 // mode on a persistent 4-worker pool and in the sequential mode, hashed
-// with testing::Fnv. Pinned under the scalar backend — the bit-stable
-// reference (simd/dispatch.h) — so the constants hold on every host and
-// build. Any change to cover enumeration, run formation or substream
-// assignment that moves a single output byte fails here.
-class ScopedScalarBackend {
- public:
-  ScopedScalarBackend() { simd::ForceBackend(simd::Backend::kScalar); }
-  ~ScopedScalarBackend() { simd::ClearForcedBackend(); }
-};
+// with testing::Fnv. Every host and build serves these bytes. Any change
+// to cover enumeration, run formation or substream assignment that moves
+// a single output byte fails here.
 
 constexpr size_t kGoldenWorkers = 4;
 constexpr int kGoldenRounds = 3;
@@ -291,7 +284,6 @@ constexpr int kGoldenRounds = 3;
 // Three batches from one stream: mixed rectangle sizes, a few tiny ones
 // (boundary-leaf singletons), one outside the data and some s = 0.
 uint64_t RangeTree2DGoldenHash(size_t num_threads) {
-  ScopedScalarBackend scalar;
   Rng data_rng(2024);
   const size_t n = 4000;
   std::vector<multidim::Point2> points(n);
@@ -332,7 +324,6 @@ uint64_t RangeTree2DGoldenHash(size_t num_threads) {
 }
 
 uint64_t RangeTreeNdGoldenHash(size_t num_threads) {
-  ScopedScalarBackend scalar;
   Rng data_rng(2025);
   const size_t n = 1500;
   const size_t dim = 3;

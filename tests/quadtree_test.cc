@@ -1,5 +1,6 @@
 #include "iqs/multidim/quadtree.h"
 
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -119,6 +120,17 @@ TEST(QuadtreeSamplerTest, AgreesWithKdResultSize) {
     size_t oracle = 0;
     for (const Point2& p : pts) oracle += q.Contains(p);
     EXPECT_EQ(reported.size(), oracle);
+  }
+}
+
+TEST(QuadtreeDeathTest, RejectsNonFiniteOrNonPositiveWeights) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<Point2> pts = {{0.1, 0.2}, {0.3, 0.4}};
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0}) {
+    const std::vector<double> weights = {1.0, bad};
+    EXPECT_DEATH(Quadtree(pts, weights), "isfinite") << bad;
   }
 }
 

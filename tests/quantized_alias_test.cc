@@ -77,5 +77,16 @@ TEST(QuantizedAliasTest, SmallerThanExactAlias) {
   EXPECT_LT(quantized.MemoryBytes() * 2, exact.MemoryBytes());
 }
 
+TEST(QuantizedAliasTest, SampleBlockMatchesWeights) {
+  // Quantization bias is ~2^-15 relative — far below what chi-square at
+  // this sample count can detect, so the raw weights are the reference.
+  const std::vector<double> weights = testing::VariedWeights(23);
+  QuantizedAlias table(weights);
+  Rng rng(107);
+  std::vector<size_t> out;
+  table.SampleMany(230000, &rng, &out);
+  testing::ExpectSamplesMatchWeights(out, weights);
+}
+
 }  // namespace
 }  // namespace iqs

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "iqs/simd/dispatch.h"
 #include "iqs/util/stats.h"
 #include "test_util.h"
 
@@ -97,11 +96,9 @@ TEST(RngTest, SplitProducesDistinctStream) {
 }
 
 TEST(RngTest, FillDoublesMatchesNextDoubleStream) {
-  // Under the SCALAR backend the block path must consume the same xoshiro
-  // stream as per-call draws: same seed, same values, in order. This is
-  // the bit-stability anchor of the determinism contract (simd/dispatch.h)
-  // — SIMD backends are only distribution-equivalent, so pin scalar here.
-  simd::ForceBackend(simd::Backend::kScalar);
+  // The block path must consume the same xoshiro stream as per-call
+  // draws: same seed, same values, in order. This is the bit-stability
+  // anchor of the determinism contract.
   Rng block_rng(21);
   Rng scalar_rng(21);
   std::vector<double> block(1000);
@@ -109,7 +106,6 @@ TEST(RngTest, FillDoublesMatchesNextDoubleStream) {
   for (double d : block) EXPECT_EQ(d, scalar_rng.NextDouble());
   // State advanced identically: streams stay in lockstep afterwards.
   EXPECT_EQ(block_rng.Next64(), scalar_rng.Next64());
-  simd::ClearForcedBackend();
 }
 
 TEST(RngTest, FillDoublesEmptySpanIsNoop) {

@@ -1,11 +1,13 @@
 #include "iqs/range/static_bst.h"
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "iqs/util/rng.h"
+#include "iqs/util/scratch_arena.h"
 #include "test_util.h"
 
 namespace iqs {
@@ -138,6 +140,44 @@ TEST(StaticBstTest, LeafForPositionRoundTrips) {
     EXPECT_TRUE(tree.IsLeaf(leaf));
     EXPECT_EQ(tree.LeafPosition(leaf), p);
   }
+}
+
+TEST(StaticBstTest, DescendToLeavesMatchesWeights) {
+  const std::vector<double> weights = testing::VariedWeights(64);
+  StaticBst tree(weights);
+  Rng rng(108);
+  ScratchArena arena;
+  std::vector<size_t> out(200000);
+  tree.SampleLeaves(tree.root(), &rng, &arena, out);
+  testing::ExpectSamplesMatchWeights(out, weights);
+}
+
+TEST(StaticBstTest, DescendToLeavesCountsSteps) {
+  // Steps = lanes x passes for a perfect tree: with 64 leaves every lane
+  // descends 6 levels, plus the final all-leaves pass that detects
+  // termination.
+  const std::vector<double> weights(64, 1.0);
+  StaticBst tree(weights);
+  Rng rng(109);
+  ScratchArena arena;
+  std::vector<StaticBst::NodeId> lanes(4096, tree.root());
+  const size_t steps = tree.DescendToLeaves(lanes, &rng, &arena);
+  EXPECT_EQ(steps, 4096u * 7);
+  for (StaticBst::NodeId leaf : lanes) EXPECT_TRUE(tree.IsLeaf(leaf));
+}
+
+TEST(StaticBstDeathTest, RejectsNonFiniteOrNonPositiveWeights) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0}) {
+    const std::vector<double> weights = {1.0, bad, 2.0};
+    EXPECT_DEATH(StaticBst{weights}, "isfinite\\(weights") << bad;
+  }
+  // Finite leaves whose sum overflows.
+  const double big = std::numeric_limits<double>::max();
+  EXPECT_DEATH(StaticBst(std::vector<double>{big, big}),
+               "isfinite\\(nodes_\\[0\\].weight\\)");
 }
 
 }  // namespace

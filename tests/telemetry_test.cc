@@ -13,7 +13,6 @@
 #include "iqs/em/block_device.h"
 #include "iqs/range/bst_range_sampler.h"
 #include "iqs/range/chunked_range_sampler.h"
-#include "iqs/simd/dispatch.h"
 #include "iqs/util/batch_options.h"
 #include "iqs/util/distributions.h"
 #include "iqs/util/rng.h"
@@ -110,15 +109,10 @@ TEST(QueryStatsTest, MergeSumsCountersAndMaxesHighWater) {
   b.queries = 2;
   b.samples_emitted = 7;
   b.arena_bytes_hwm = 1024;
-  a.backend_mask = simd::BackendBit(simd::Backend::kScalar);
-  b.backend_mask = simd::BackendBit(simd::Backend::kAvx2);
   a.MergeFrom(b);
   EXPECT_EQ(a.queries, 5u);
   EXPECT_EQ(a.samples_emitted, 17u);
   EXPECT_EQ(a.arena_bytes_hwm, 4096u);  // max, not 5120
-  // Backend tags merge by OR: the merged stats name every backend seen.
-  EXPECT_EQ(a.backend_mask, simd::BackendBit(simd::Backend::kScalar) |
-                                simd::BackendBit(simd::Backend::kAvx2));
 }
 
 TEST(TelemetryCountersTest, BatchCountersMatchGroundTruth) {
@@ -162,8 +156,6 @@ TEST(TelemetryCountersTest, BatchCountersMatchGroundTruth) {
   EXPECT_GE(stats.cover_groups, stats.queries);
   EXPECT_LE(stats.rng_draws, stats.samples_emitted);
   EXPECT_GT(stats.arena_bytes_hwm, 0u);
-  // The batch is tagged with the kernel backend that served it.
-  EXPECT_EQ(stats.backend_mask, simd::BackendBit(simd::ActiveBackend()));
   EXPECT_EQ(sink.MergedLatency().count(),
             static_cast<uint64_t>(kBatches));
 }
@@ -327,10 +319,6 @@ TEST(MetricsRegistryTest, JsonExportContainsCountersAndBuckets) {
   sink->shard(1)->stats.queries = 3;
   sink->shard(0)->latency.Record(100);
   sink->shard(0)->latency.Record(5000);
-  sink->shard(0)->stats.backend_mask =
-      simd::BackendBit(simd::Backend::kScalar);
-  sink->shard(1)->stats.backend_mask =
-      simd::BackendBit(simd::Backend::kAvx2);
 
   const std::string json = registry.ToJson();
   EXPECT_NE(json.find("\"telemetry\""), std::string::npos) << json;
@@ -342,13 +330,11 @@ TEST(MetricsRegistryTest, JsonExportContainsCountersAndBuckets) {
   EXPECT_NE(json.find("\"p999_ns\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"p9999_ns\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"buckets\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"kernel_backend\": \"scalar+avx2\""),
-            std::string::npos)
-      << json;
+  EXPECT_NE(json.find("\"rebuild_ns\": 0}"), std::string::npos) << json;
 
   const std::string text = registry.ToText();
   EXPECT_NE(text.find("unit"), std::string::npos) << text;
-  EXPECT_NE(text.find("backend=scalar+avx2"), std::string::npos) << text;
+  EXPECT_NE(text.find("rebuild_ns=0\n"), std::string::npos) << text;
   EXPECT_NE(text.find("p999<="), std::string::npos) << text;
   EXPECT_NE(text.find("p9999<="), std::string::npos) << text;
 }

@@ -35,6 +35,17 @@ inline void ExpectDistributionClose(const std::vector<uint64_t>& counts,
       << result.degrees_of_freedom << " dof";
 }
 
+// Uneven positive weights (one heavy element in five) for kernel law
+// checks.
+inline std::vector<double> VariedWeights(size_t n) {
+  std::vector<double> weights(n);
+  for (size_t i = 0; i < n; ++i) {
+    weights[i] = 0.25 + static_cast<double>((i * 7) % 13) +
+                 (i % 5 == 0 ? 20.0 : 0.0);
+  }
+  return weights;
+}
+
 // Convenience: tally + normalize + chi-square in one call.
 inline void ExpectSamplesMatchWeights(const std::vector<size_t>& samples,
                                       const std::vector<double>& weights,
