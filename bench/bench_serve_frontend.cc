@@ -194,7 +194,9 @@ Row RunFrontend(const iqs::ChunkedRangeSampler& sampler,
   options.max_batch = 256;
   options.max_delay_ns = 50 * 1000;
   options.seed = 2025;
-  iqs::serve::RangeServeFrontend frontend(
+  using RangeFrontend =
+      iqs::serve::ServeFrontend<iqs::BatchQuery, size_t, iqs::BatchResult>;
+  RangeFrontend frontend(
       options,
       [&sampler](size_t /*shard*/, std::span<const iqs::BatchQuery> queries,
                  iqs::Rng* rng, iqs::ScratchArena* arena,

@@ -1,7 +1,7 @@
 // Serving-frontend demo: many users, single queries, one live structure.
 //
 // Four producer threads each fire single-range sampling requests at a
-// serve::KeyServeFrontend (Submit -> ticket), while a writer thread
+// serve::ServeFrontend over keys (Submit -> ticket), while a writer thread
 // churns the underlying LogarithmicRangeSampler with inserts the whole
 // time. The frontend coalesces the singleton requests into micro-batches
 // (50µs / 64-query window); each flushed batch runs against ONE pinned
@@ -32,7 +32,9 @@ int main() {
   options.max_batch = 64;
   options.max_delay_ns = 50 * 1000;
   options.queue_capacity = 1024;
-  iqs::serve::KeyServeFrontend frontend(
+  using KeyFrontend = iqs::serve::ServeFrontend<iqs::KeyBatchQuery, double,
+                                                iqs::KeyBatchResult>;
+  KeyFrontend frontend(
       options,
       [&scores](size_t /*shard*/, std::span<const iqs::KeyBatchQuery> queries,
                 iqs::Rng* rng, iqs::ScratchArena* arena,

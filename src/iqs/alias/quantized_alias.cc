@@ -18,7 +18,7 @@ void QuantizedAlias::Build(std::span<const double> weights) {
     IQS_CHECK(w >= 0.0);
     total += w;
   }
-  IQS_CHECK(total > 0.0);
+  IQS_CHECK(std::isfinite(total) && total > 0.0);
 
   std::vector<double> scaled(n);
   const double scale = static_cast<double>(n) / total;

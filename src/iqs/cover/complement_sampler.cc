@@ -1,6 +1,7 @@
 #include "iqs/cover/complement_sampler.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "iqs/util/check.h"
 
@@ -17,6 +18,7 @@ ComplementRangeSampler::ComplementRangeSampler(std::span<const double> keys)
 
 bool ComplementRangeSampler::ResolveExcluded(double lo, double hi, size_t* a,
                                              size_t* b) const {
+  if (std::isnan(lo) || std::isnan(hi)) return false;  // not an interval
   const auto first = std::lower_bound(keys_.begin(), keys_.end(), lo);
   const auto last = std::upper_bound(first, keys_.end(), hi);
   if (first == last || lo > hi) {

@@ -32,7 +32,8 @@ class ComplementRangeSampler {
 
   // Draws `s` independent uniform samples from S \ [lo, hi] using the
   // size-<=2 approximate cover + rejection. Appends positions (indices in
-  // key order); returns false when the complement is empty.
+  // key order); returns false when the complement is empty or a bound is
+  // NaN.
   bool QueryApprox(double lo, double hi, size_t s, Rng* rng,
                    std::vector<size_t>* out) const;
 
@@ -58,8 +59,9 @@ class ComplementRangeSampler {
 
  private:
   // Maps [lo, hi] to the inclusive position range [a, b] of *excluded*
-  // elements; returns false if no element is excluded (a > b encodes the
-  // empty exclusion: the query degenerates to whole-set sampling).
+  // elements; a > b encodes the empty exclusion (an inverted interval, or
+  // one between keys): the query degenerates to whole-set sampling.
+  // Returns false when the complement is empty or a bound is NaN.
   bool ResolveExcluded(double lo, double hi, size_t* a, size_t* b) const;
 
   std::vector<double> keys_;

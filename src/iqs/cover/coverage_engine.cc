@@ -1,7 +1,6 @@
 #include "iqs/cover/coverage_engine.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "iqs/cover/cover_executor.h"
 #include "iqs/util/check.h"
@@ -10,12 +9,6 @@
 namespace iqs {
 
 namespace {
-
-std::vector<double> PositionKeys(size_t n) {
-  std::vector<double> keys(n);
-  std::iota(keys.begin(), keys.end(), 0.0);
-  return keys;
-}
 
 // Single-query entry points share per-thread serving state so they ride
 // the batched pipeline without a signature change.
@@ -28,8 +21,7 @@ ScratchArena* LocalArena() {
 
 CoverageEngine::CoverageEngine(std::span<const double> position_weights,
                                ThreadPool* build_pool)
-    : sampler_(PositionKeys(position_weights.size()), position_weights,
-               /*chunk_size=*/0, build_pool) {}
+    : sampler_(position_weights, /*chunk_size=*/0, build_pool) {}
 
 void CoverageEngine::SampleBatch(const CoverPlan& plan, Rng* rng,
                                  ScratchArena* arena, const BatchOptions& opts,

@@ -50,7 +50,7 @@ void ActiveSetSampler::QueryPositionsBatch(
 }
 
 size_t ActiveSetSampler::MemoryBytes() const {
-  return keys().capacity() * sizeof(double);  // fenwick charged to the tree
+  return 0;  // position-keyed; the fenwick is charged to the tree
 }
 
 ActiveRankTree::ActiveRankTree(std::span<const multidim::Rect> rects,
@@ -120,13 +120,8 @@ ActiveRankTree::ActiveRankTree(std::span<const multidim::Rect> rects,
   }
 
   fenwick_ = ActivityCounts(num_slots);
-  {
-    // The RangeSampler base keeps its own copy of the iota slot keys.
-    std::vector<double> slot_keys(num_slots);
-    std::iota(slot_keys.begin(), slot_keys.end(), 0.0);
-    sampler_ = std::unique_ptr<ActiveSetSampler>(
-        new ActiveSetSampler(slot_keys, &fenwick_));
-  }
+  sampler_ = std::unique_ptr<ActiveSetSampler>(
+      new ActiveSetSampler(num_slots, &fenwick_));
 
   // The counting side: a second rank order on (y_hi, id), plus one
   // activity Fenwick per endpoint order (see CountActive).

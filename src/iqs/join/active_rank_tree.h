@@ -90,9 +90,8 @@ class ActiveSetSampler final : public RangeSampler {
 
  private:
   friend class ActiveRankTree;
-  ActiveSetSampler(std::span<const double> slot_keys,
-                   const ActivityCounts* fenwick)
-      : RangeSampler(slot_keys), fenwick_(fenwick) {}
+  ActiveSetSampler(size_t num_slots, const ActivityCounts* fenwick)
+      : RangeSampler(num_slots), fenwick_(fenwick) {}
 
   const ActivityCounts* fenwick_;  // owned by the ActiveRankTree
 };

@@ -102,10 +102,7 @@ uint32_t RangeTree2DSampler::Build(size_t lo, size_t hi) {
     y_weights[i] = weights_by_x_[node.ids_by_y[i]];
     node.weight_prefix[i + 1] = node.weight_prefix[i] + y_weights[i];
   }
-  std::vector<double> position_keys(m);
-  std::iota(position_keys.begin(), position_keys.end(), 0.0);
-  node.sampler =
-      std::make_unique<ChunkedRangeSampler>(position_keys, y_weights);
+  node.sampler = std::make_unique<ChunkedRangeSampler>(y_weights);
   return id;
 }
 

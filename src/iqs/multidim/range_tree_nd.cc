@@ -63,9 +63,7 @@ RangeTreeNdSampler::BuildStructure(size_t level, std::vector<uint32_t> ids,
       w[i] = weights_[s->ids_sorted[i]];
       s->weight_prefix[i + 1] = s->weight_prefix[i] + w[i];
     }
-    std::vector<double> position_keys(m);
-    std::iota(position_keys.begin(), position_keys.end(), 0.0);
-    s->sampler = std::make_unique<ChunkedRangeSampler>(position_keys, w);
+    s->sampler = std::make_unique<ChunkedRangeSampler>(w);
     return s;
   }
 

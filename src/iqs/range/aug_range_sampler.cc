@@ -1,22 +1,11 @@
 #include "iqs/range/aug_range_sampler.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "iqs/cover/cover_executor.h"
 #include "iqs/sampling/multinomial.h"
 
 namespace iqs {
-
-namespace {
-
-std::vector<double> PositionKeys(size_t n) {
-  std::vector<double> keys(n);
-  std::iota(keys.begin(), keys.end(), 0.0);
-  return keys;
-}
-
-}  // namespace
 
 AugRangeSampler::AugRangeSampler(std::span<const double> keys,
                                  std::span<const double> weights)
@@ -26,7 +15,7 @@ AugRangeSampler::AugRangeSampler(std::span<const double> keys,
 }
 
 AugRangeSampler::AugRangeSampler(std::span<const double> weights)
-    : RangeSampler(PositionKeys(weights.size())), tree_(weights) {
+    : RangeSampler(weights.size()), tree_(weights) {
   BuildNodeAliases(weights);
 }
 

@@ -27,9 +27,8 @@ class AugRangeSampler : public RangeSampler {
   AugRangeSampler(std::span<const double> keys,
                   std::span<const double> weights);
 
-  // Convenience constructor for position-indexed data (keys 0, 1, ..., n-1)
-  // — used by Theorem 3's chunk-level structure, where "keys" are chunk
-  // numbers.
+  // Position-keyed (keys 0, 1, ..., n-1, none stored) — used by Theorem 3's
+  // chunk-level structure, where "keys" are chunk numbers.
   explicit AugRangeSampler(std::span<const double> weights);
 
   void QueryPositions(size_t a, size_t b, size_t s, Rng* rng,

@@ -24,6 +24,17 @@ ChunkedRangeSampler::ChunkedRangeSampler(std::span<const double> keys,
                                          ThreadPool* build_pool)
     : RangeSampler(keys), weights_(weights.begin(), weights.end()) {
   IQS_CHECK(keys.size() == weights.size());
+  Build(chunk_size, build_pool);
+}
+
+ChunkedRangeSampler::ChunkedRangeSampler(std::span<const double> weights,
+                                         size_t chunk_size,
+                                         ThreadPool* build_pool)
+    : RangeSampler(weights.size()), weights_(weights.begin(), weights.end()) {
+  Build(chunk_size, build_pool);
+}
+
+void ChunkedRangeSampler::Build(size_t chunk_size, ThreadPool* build_pool) {
   const size_t n = weights_.size();
   chunk_size_ = chunk_size != 0
                     ? chunk_size

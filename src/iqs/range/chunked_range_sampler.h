@@ -41,6 +41,12 @@ class ChunkedRangeSampler : public RangeSampler {
                       std::span<const double> weights, size_t chunk_size = 0,
                       ThreadPool* build_pool = nullptr);
 
+  // Position-keyed (keys 0, 1, ..., n-1, none stored): the form every
+  // composition over positions uses (range-tree nodes, Lemma 4, coverage).
+  explicit ChunkedRangeSampler(std::span<const double> weights,
+                               size_t chunk_size = 0,
+                               ThreadPool* build_pool = nullptr);
+
   void QueryPositions(size_t a, size_t b, size_t s, Rng* rng,
                       std::vector<size_t>* out) const override;
 
@@ -67,6 +73,9 @@ class ChunkedRangeSampler : public RangeSampler {
   size_t ChunkEnd(size_t chunk) const {  // inclusive
     return std::min(ChunkStart(chunk) + chunk_size_, weights_.size()) - 1;
   }
+
+  // Builds the chunk tables, prefixes and chunk-level structure.
+  void Build(size_t chunk_size, ThreadPool* build_pool);
 
   // Draws `count` weighted samples from positions [lo, hi] (all within one
   // chunk) by scanning, appending to `out`.

@@ -142,7 +142,7 @@ double DynamicRangeSampler::SampleSubtree(uint32_t v, Rng* rng) const {
 
 bool DynamicRangeSampler::Query(double lo, double hi, size_t s, Rng* rng,
                                 std::vector<double>* out) const {
-  if (lo > hi || root_ == kNull) return false;
+  if (!(lo <= hi) || root_ == kNull) return false;
   // Canonical decomposition without mutating the treap: descend to the
   // split node, then peel off maximal subtrees along the two boundary
   // paths. Pieces are whole subtrees (sampled top-down) or single nodes.
@@ -206,7 +206,7 @@ bool DynamicRangeSampler::Query(double lo, double hi, size_t s, Rng* rng,
 }
 
 double DynamicRangeSampler::RangeWeight(double lo, double hi) const {
-  if (lo > hi || root_ == kNull) return 0.0;
+  if (!(lo <= hi) || root_ == kNull) return 0.0;
   double total = 0.0;
   uint32_t v = root_;
   while (v != kNull && (nodes_[v].key < lo || nodes_[v].key > hi)) {

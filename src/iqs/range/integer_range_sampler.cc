@@ -1,7 +1,6 @@
 #include "iqs/range/integer_range_sampler.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "iqs/util/check.h"
 #include "iqs/util/telemetry.h"
@@ -109,9 +108,7 @@ IntegerRangeSampler::IntegerRangeSampler(std::span<const uint64_t> keys,
                                          int key_bits)
     : keys_(keys.begin(), keys.end()), index_(keys, key_bits) {
   IQS_CHECK(keys.size() == weights.size());
-  std::vector<double> position_keys(keys.size());
-  std::iota(position_keys.begin(), position_keys.end(), 0.0);
-  sampler_ = std::make_unique<ChunkedRangeSampler>(position_keys, weights);
+  sampler_ = std::make_unique<ChunkedRangeSampler>(weights);
 }
 
 bool IntegerRangeSampler::ResolveInterval(uint64_t lo, uint64_t hi,

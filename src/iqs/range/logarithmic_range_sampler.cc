@@ -124,7 +124,7 @@ void LogarithmicRangeSampler::Insert(double key, double weight) {
 bool LogarithmicRangeSampler::Query(double lo, double hi, size_t s, Rng* rng,
                                     std::vector<double>* out) const {
   const Snapshot<Version> snap = versions_.Acquire();
-  if (lo > hi || snap->size == 0) return false;
+  if (!(lo <= hi) || snap->size == 0) return false;
   // Resolve the interval in every component; collect range weights.
   struct ActivePart {
     const Component* component;
@@ -186,7 +186,7 @@ void LogarithmicRangeSampler::QueryBatch(std::span<const KeyBatchQuery> queries,
   ServePieceBatch<Part>(
       queries, /*pool=*/nullptr,
       [&snap](const KeyBatchQuery& query, std::vector<Part>* out) {
-        if (query.lo > query.hi) return;
+        if (!(query.lo <= query.hi)) return;
         for (size_t level = 0; level < snap->components.size(); ++level) {
           const Component* component = snap->components[level];
           if (component == nullptr) continue;
@@ -220,7 +220,7 @@ void LogarithmicRangeSampler::QueryBatch(std::span<const KeyBatchQuery> queries,
 }
 
 double LogarithmicRangeSampler::RangeWeight(double lo, double hi) const {
-  if (lo > hi) return 0.0;
+  if (!(lo <= hi)) return 0.0;
   const Snapshot<Version> snap = versions_.Acquire();
   double total = 0.0;
   for (const Component* component : snap->components) {

@@ -1,13 +1,14 @@
 #include "iqs/range/range_sampler.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "iqs/util/telemetry.h"
 
 namespace iqs {
 
 RangeSampler::RangeSampler(std::span<const double> keys)
-    : keys_(keys.begin(), keys.end()) {
+    : keys_(keys.begin(), keys.end()), n_(keys.size()) {
   IQS_CHECK(!keys_.empty());
   for (size_t i = 1; i < keys_.size(); ++i) {
     // iqs-lint: allow(check-in-loop) -- cold build-path input validation
@@ -15,9 +16,21 @@ RangeSampler::RangeSampler(std::span<const double> keys)
   }
 }
 
+RangeSampler::RangeSampler(size_t n) : n_(n) { IQS_CHECK(n >= 1); }
+
 bool RangeSampler::ResolveInterval(double lo, double hi, size_t* a,
                                    size_t* b) const {
-  if (lo > hi) return false;
+  if (!(lo <= hi)) return false;  // inverted, or a NaN bound
+  if (keys_.empty()) {
+    // Position keys 0..n-1: the keys in [lo, hi] are ceil(lo)..floor(hi),
+    // clipped to the positions that exist.
+    const double first = std::max(0.0, std::ceil(lo));
+    const double last = std::min(static_cast<double>(n_ - 1), std::floor(hi));
+    if (!(first <= last)) return false;
+    *a = static_cast<size_t>(first);
+    *b = static_cast<size_t>(last);
+    return true;
+  }
   const auto first = std::lower_bound(keys_.begin(), keys_.end(), lo);
   if (first == keys_.end() || *first > hi) return false;
   const auto last = std::upper_bound(first, keys_.end(), hi);

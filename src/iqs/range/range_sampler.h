@@ -10,7 +10,11 @@
 // order and return positions; Query() maps a real interval onto a position
 // range with two binary searches and delegates to QueryPositions(). This
 // keeps the structures composable — Theorem 3 runs a Lemma-2 structure over
-// chunk positions, and Lemma 4 runs one over Euler-tour positions.
+// chunk positions, Lemma 4 runs one over Euler-tour positions, and every
+// range-tree node runs one over its own y-order. Such compositions pass no
+// keys: a position-keyed sampler (the protected RangeSampler(n)
+// constructor) stores only its size and resolves [lo, hi] arithmetically,
+// exactly as a binary search over the keys 0, 1, ..., n-1 would.
 
 #ifndef IQS_RANGE_RANGE_SAMPLER_H_
 #define IQS_RANGE_RANGE_SAMPLER_H_
@@ -73,8 +77,7 @@ class RangeSampler {
   RangeSampler(const RangeSampler&) = delete;
   RangeSampler& operator=(const RangeSampler&) = delete;
 
-  size_t n() const { return keys_.size(); }
-  const std::vector<double>& keys() const { return keys_; }
+  size_t n() const { return n_; }
 
   // Draws `s` independent weighted samples from the elements at positions
   // [a, b] (inclusive, a <= b < n), appending sampled positions to `out`.
@@ -94,7 +97,8 @@ class RangeSampler {
              std::vector<size_t>* out) const;
 
   // Resolves [lo, hi] to the inclusive position range it covers. Returns
-  // false if empty.
+  // false if empty; an interval with !(lo <= hi) — inverted, or with a NaN
+  // bound — is empty.
   bool ResolveInterval(double lo, double hi, size_t* a, size_t* b) const;
 
   // Batched serving fast path — THE CANONICAL BATCH SIGNATURE: every
@@ -154,7 +158,15 @@ class RangeSampler {
   // `keys` must be strictly increasing and nonempty.
   explicit RangeSampler(std::span<const double> keys);
 
+  // Position-keyed: element i has key i (0 <= i < n, n >= 1), and no key
+  // array is stored.
+  explicit RangeSampler(size_t n);
+
+  // Empty for a position-keyed sampler.
   std::vector<double> keys_;
+
+ private:
+  size_t n_;
 };
 
 }  // namespace iqs

@@ -87,9 +87,6 @@
 #include <utility>
 #include <vector>
 
-#include "iqs/join/join_batch.h"
-#include "iqs/range/logarithmic_range_sampler.h"
-#include "iqs/range/range_sampler.h"
 #include "iqs/serve/serve_stats.h"
 #include "iqs/serve/ticket.h"
 #include "iqs/util/batch_options.h"
@@ -507,16 +504,6 @@ class ServeFrontend {
   std::vector<std::thread> workers_;
   Mutex drain_mu_;  // serializes Drain vs ~ServeFrontend
 };
-
-// The instantiations the library's samplers serve today: position results
-// over RangeSampler::QueryBatch, key results over
-// LogarithmicRangeSampler::QueryBatch (the versioned, churn-safe path),
-// and join-pair results over JoinSampler::SampleJoinBatch.
-using RangeServeFrontend = ServeFrontend<BatchQuery, size_t, BatchResult>;
-using KeyServeFrontend =
-    ServeFrontend<KeyBatchQuery, double, KeyBatchResult>;
-using JoinServeFrontend =
-    ServeFrontend<join::JoinBatchQuery, join::JoinPair, join::JoinBatchResult>;
 
 }  // namespace serve
 }  // namespace iqs

@@ -1,7 +1,5 @@
 #include "iqs/tree/subtree_sampler.h"
 
-#include <numeric>
-
 #include "iqs/cover/cover_executor.h"
 #include "iqs/util/telemetry.h"
 
@@ -46,14 +44,11 @@ SubtreeSampler::SubtreeSampler(const WeightedTree* tree) : tree_(tree) {
   IQS_CHECK(!leaf_sequence_.empty());
 
   // Weighted range sampling over Π: positions are Euler-tour order.
-  std::vector<double> position_keys(leaf_sequence_.size());
-  std::iota(position_keys.begin(), position_keys.end(), 0.0);
   std::vector<double> leaf_weights(leaf_sequence_.size());
   for (size_t p = 0; p < leaf_sequence_.size(); ++p) {
     leaf_weights[p] = tree_->Weight(leaf_sequence_[p]);
   }
-  range_sampler_ =
-      std::make_unique<ChunkedRangeSampler>(position_keys, leaf_weights);
+  range_sampler_ = std::make_unique<ChunkedRangeSampler>(leaf_weights);
 }
 
 void SubtreeSampler::Query(WeightedTree::NodeId q, size_t s, Rng* rng,

@@ -5,6 +5,7 @@
 
 #include "iqs/join/bad_join_batch.h"
 #include "iqs/range/clean_sampler.h"
+#include "iqs/serve/bad_frontend.h"
 #include "iqs/util/violations.h"
 
 #endif  // FIXTURE_IQS_IQS_H_

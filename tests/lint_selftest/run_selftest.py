@@ -23,7 +23,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 FINDING_RE = re.compile(r"^(.*):(\d+): \[([a-z-]+)\] ")
 MARKER_RE = re.compile(r"VIOLATION: ([a-z-]+)")
 ALL_RULES = ("raw-rand", "check-in-loop", "batch-signature", "umbrella",
-             "naked-mutex", "suppression")
+             "naked-mutex", "layering", "suppression")
 
 
 def collect_expected(fixture):

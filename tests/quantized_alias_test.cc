@@ -1,6 +1,7 @@
 #include "iqs/alias/quantized_alias.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -86,6 +87,17 @@ TEST(QuantizedAliasTest, SampleBlockMatchesWeights) {
   std::vector<size_t> out;
   table.SampleMany(230000, &rng, &out);
   testing::ExpectSamplesMatchWeights(out, weights);
+}
+
+// A weight of +inf (or finite weights whose sum overflows) would zero the
+// scale n / total and leave meaningless urns: the build must abort.
+TEST(QuantizedAliasDeathTest, NonFiniteTotalWeightRejected) {
+  const std::vector<double> inf_weight = {
+      1.0, std::numeric_limits<double>::infinity(), 2.0, 0.5};
+  EXPECT_DEATH(QuantizedAlias{inf_weight}, "isfinite\\(total\\)");
+  const double big = std::numeric_limits<double>::max();
+  const std::vector<double> overflow = {big, big};
+  EXPECT_DEATH(QuantizedAlias{overflow}, "isfinite\\(total\\)");
 }
 
 }  // namespace

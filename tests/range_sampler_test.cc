@@ -6,13 +6,18 @@
 #include "iqs/range/range_sampler.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "iqs/cover/complement_sampler.h"
 #include "iqs/range/aug_range_sampler.h"
 #include "iqs/range/bst_range_sampler.h"
 #include "iqs/range/chunked_range_sampler.h"
+#include "iqs/range/dynamic_range_sampler.h"
+#include "iqs/range/logarithmic_range_sampler.h"
 #include "iqs/range/naive_range_sampler.h"
 #include "iqs/util/distributions.h"
 #include "iqs/util/rng.h"
@@ -250,6 +255,133 @@ TEST(RangeSamplerSpaceTest, ChunkingBeatsAugmentationAsymptotically) {
   AugRangeSampler aug(keys, weights);
   ChunkedRangeSampler chunked(keys, weights);
   EXPECT_LT(chunked.MemoryBytes() * 3, aug.MemoryBytes());
+}
+
+// A position-keyed sampler (weights only) resolves every interval exactly
+// as the keyed sampler over the iota keys 0..n-1 does, and draws the same
+// bytes: the key array it no longer stores was never read by a draw.
+TEST(PositionKeyedSamplerTest, ResolvesLikeIotaKeys) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const size_t n : {size_t{1}, size_t{7}, size_t{1000}}) {
+    std::vector<double> iota(n);
+    std::iota(iota.begin(), iota.end(), 0.0);
+    Rng weight_rng(11 + n);
+    std::vector<double> weights(n);
+    for (double& w : weights) w = 0.5 + weight_rng.NextDouble();
+
+    const ChunkedRangeSampler keyed_chunked(iota, weights);
+    const ChunkedRangeSampler positional_chunked(weights);
+    const AugRangeSampler keyed_aug(iota, weights);
+    const AugRangeSampler positional_aug(weights);
+    EXPECT_EQ(positional_chunked.n(), n);
+    EXPECT_EQ(positional_aug.n(), n);
+
+    const double m = static_cast<double>(n);
+    const double k = std::floor(m / 2.0);
+    const std::vector<double> bounds = {
+        -kInf, -1.5,    -0.0,    0.0,     0.5,   k,    k - 0.5,
+        k + 0.5, m - 1.0, m - 0.5, m,      kInf,  nan};
+    const std::pair<const RangeSampler*, const RangeSampler*> pairs[] = {
+        {&keyed_chunked, &positional_chunked}, {&keyed_aug, &positional_aug}};
+    for (const auto& [keyed, positional] : pairs) {
+      for (const double lo : bounds) {
+        for (const double hi : bounds) {
+          size_t ka = 0, kb = 0, pa = 0, pb = 0;
+          const bool k_ok = keyed->ResolveInterval(lo, hi, &ka, &kb);
+          const bool p_ok = positional->ResolveInterval(lo, hi, &pa, &pb);
+          ASSERT_EQ(k_ok, p_ok) << "n=" << n << " [" << lo << ", " << hi
+                                << "] " << positional->name();
+          if (!k_ok) continue;
+          EXPECT_EQ(ka, pa) << "n=" << n << " [" << lo << ", " << hi << "]";
+          EXPECT_EQ(kb, pb) << "n=" << n << " [" << lo << ", " << hi << "]";
+        }
+      }
+
+      std::vector<BatchQuery> queries;
+      for (size_t i = 0; i < 16; ++i) {
+        queries.push_back({static_cast<double>(i % n) - 0.25,
+                           static_cast<double>((7 * i) % n) + 0.25, 9});
+      }
+      Rng keyed_rng(42);
+      Rng positional_rng(42);
+      ScratchArena arena;
+      BatchResult keyed_result;
+      BatchResult positional_result;
+      keyed->QueryBatch(queries, &keyed_rng, &arena, &keyed_result);
+      positional->QueryBatch(queries, &positional_rng, &arena,
+                             &positional_result);
+      EXPECT_EQ(keyed_result.resolved, positional_result.resolved);
+      EXPECT_EQ(keyed_result.positions, positional_result.positions);
+    }
+
+    // The weights-only sampler stores no key array: exactly 8 B per
+    // element less than the iota-keyed one, and nothing else differs.
+    EXPECT_EQ(keyed_chunked.MemoryBytes() - positional_chunked.MemoryBytes(),
+              n * sizeof(double));
+    EXPECT_EQ(keyed_aug.MemoryBytes() - positional_aug.MemoryBytes(),
+              n * sizeof(double));
+  }
+}
+
+// A NaN bound is no interval: every keyed entry point reports the query
+// unresolved and draws nothing, instead of sampling the whole set.
+TEST(RangeSamplerBoundaryTest, NaNBoundsAreUnresolved) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> intervals[] = {
+      {nan, nan}, {3.0, nan}, {nan, 3.0}};
+  const std::vector<double> keys = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::vector<double> weights(keys.size(), 1.0);
+  const ChunkedRangeSampler keyed(keys, weights);
+  const ChunkedRangeSampler positional(weights);
+  LogarithmicRangeSampler logarithmic;
+  Rng build_rng(3);
+  DynamicRangeSampler dynamic(&build_rng);
+  for (const double key : keys) {
+    logarithmic.Insert(key, 1.0);
+    dynamic.Insert(key, 1.0);
+  }
+  const ComplementRangeSampler complement(keys);
+  const RangeSampler* samplers[] = {&keyed, &positional};
+
+  Rng rng(5);
+  ScratchArena arena;
+  for (const auto& [lo, hi] : intervals) {
+    for (const RangeSampler* sampler : samplers) {
+      size_t a = 0;
+      size_t b = 0;
+      EXPECT_FALSE(sampler->ResolveInterval(lo, hi, &a, &b));
+      std::vector<size_t> out;
+      EXPECT_FALSE(sampler->Query(lo, hi, 5, &rng, &out));
+      EXPECT_TRUE(out.empty());
+      const BatchQuery query{lo, hi, 5};
+      BatchResult result;
+      sampler->QueryBatch(std::span<const BatchQuery>(&query, 1), &rng,
+                          &arena, &result);
+      ASSERT_EQ(result.num_queries(), 1u);
+      EXPECT_EQ(result.resolved[0], 0);
+      EXPECT_TRUE(result.positions.empty());
+    }
+
+    std::vector<double> keys_out;
+    EXPECT_FALSE(logarithmic.Query(lo, hi, 5, &rng, &keys_out));
+    EXPECT_FALSE(dynamic.Query(lo, hi, 5, &rng, &keys_out));
+    EXPECT_TRUE(keys_out.empty());
+    const KeyBatchQuery key_query{lo, hi, 5};
+    KeyBatchResult key_result;
+    logarithmic.QueryBatch(std::span<const KeyBatchQuery>(&key_query, 1),
+                           &rng, &arena, &key_result);
+    ASSERT_EQ(key_result.num_queries(), 1u);
+    EXPECT_EQ(key_result.resolved[0], 0);
+    EXPECT_TRUE(key_result.keys.empty());
+    EXPECT_EQ(logarithmic.RangeWeight(lo, hi), 0.0);
+    EXPECT_EQ(dynamic.RangeWeight(lo, hi), 0.0);
+
+    std::vector<size_t> out;
+    EXPECT_FALSE(complement.QueryApprox(lo, hi, 5, &rng, &out));
+    EXPECT_FALSE(complement.QueryExact(lo, hi, 5, &rng, &out));
+    EXPECT_TRUE(out.empty());
+  }
 }
 
 }  // namespace

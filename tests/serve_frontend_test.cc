@@ -36,6 +36,14 @@ namespace iqs {
 namespace serve {
 namespace {
 
+// The three traffic families these tests serve: positions over
+// RangeSampler::QueryBatch, keys over LogarithmicRangeSampler::QueryBatch,
+// and join pairs over JoinSampler::SampleJoinBatch.
+using RangeServeFrontend = ServeFrontend<BatchQuery, size_t, BatchResult>;
+using KeyServeFrontend = ServeFrontend<KeyBatchQuery, double, KeyBatchResult>;
+using JoinServeFrontend =
+    ServeFrontend<join::JoinBatchQuery, join::JoinPair, join::JoinBatchResult>;
+
 // A delay far past any test's runtime: these tests pin batch boundaries
 // with the SIZE trigger (submit exactly max_batch, wait, repeat), so the
 // time trigger must never fire.
@@ -56,7 +64,7 @@ std::vector<double> MakeWeights(size_t n, uint64_t seed) {
 
 // Frontend over one ChunkedRangeSampler shard (the paper's Theorem 3
 // structure — the batch backend every range test in the repo trusts).
-ServeFrontend<BatchQuery, size_t, BatchResult>::BatchFn PositionBackend(
+RangeServeFrontend::BatchFn PositionBackend(
     const ChunkedRangeSampler* sampler) {
   return [sampler](size_t /*shard*/, std::span<const BatchQuery> queries,
                    Rng* rng, ScratchArena* arena, const BatchOptions& opts,

@@ -37,6 +37,11 @@ naked-mutex      No std::mutex / std::condition_variable /
                  annotated iqs::Mutex / iqs::MutexLock / iqs::CondVar so
                  clang -Wthread-safety sees every lock.
 
+layering         Headers under src/iqs/serve/ #include "iqs/..." only
+                 from util/ and serve/. The serving layer is generic over
+                 its Query/Sample/Result types; a concrete sampler header
+                 there would tie every frontend build to that sampler.
+
 Suppression: append `// iqs-lint: allow(<rule>) -- <justification>` to
 the offending line, or put it alone on the line above. The justification
 is mandatory; an empty one is itself a finding.
@@ -57,6 +62,7 @@ ALL_RULES = (
     "batch-signature",
     "umbrella",
     "naked-mutex",
+    "layering",
 )
 
 SUPPRESS_RE = re.compile(
@@ -419,6 +425,29 @@ def rule_naked_mutex(files, findings):
                 )
 
 
+# --- rule: layering ---------------------------------------------------------
+
+SERVE_HEADER_DIR = os.path.join("src", "iqs", "serve") + os.sep
+SERVE_ALLOWED_INCLUDES = ("iqs/util/", "iqs/serve/")
+
+
+def rule_layering(files, findings):
+    for src in files:
+        if not (src.relpath.startswith(SERVE_HEADER_DIR)
+                and src.relpath.endswith(".h")):
+            continue
+        # raw_lines: the include path is a string literal (see umbrella).
+        for i, line in enumerate(src.raw_lines, start=1):
+            m = INCLUDE_RE.search(line)
+            if m and not m.group(1).startswith(SERVE_ALLOWED_INCLUDES):
+                report(
+                    findings, src, "layering", i,
+                    f'serve/ header includes "{m.group(1)}"; serve/ may '
+                    "depend only on util/ and serve/ (name concrete "
+                    "sampler types at the instantiation site)",
+                )
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -463,6 +492,8 @@ def main(argv):
         rule_umbrella(root, files, findings)
     if "naked-mutex" in rules:
         rule_naked_mutex(files, findings)
+    if "layering" in rules:
+        rule_layering(files, findings)
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     for f in findings:
